@@ -18,6 +18,7 @@
 #include "cluster/shard_plan.h"
 #include "dse/cost_cache.h"
 #include "dse/point_wire.h"
+#include "dse/remote_cache.h"
 #include "dse/shard_merge.h"
 #include "dse/thread_pool.h"
 #include "obs/trace.h"
@@ -158,7 +159,7 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
     // Fleet-warm key set *before* this sweep runs: the caller-tracked keys
     // plus whatever the resident cache already holds. Snapshotted now so a
     // local fallback filling the cache mid-sweep cannot skew the replay.
-    SynthesisCache* const cache = eval.use_hw_cache ? eval.hw_cache : nullptr;
+    CostCache* const cache = eval.use_hw_cache ? eval.hw_cache : nullptr;
     std::unordered_set<uint64_t> warm;
     const bool want_cache_stats = stats != nullptr && eval.use_hw_cache && eval.evaluate_hardware;
     if (want_cache_stats) {
@@ -167,8 +168,6 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
             for (const uint64_t k : cache->keys()) warm.insert(k);
         }
     }
-    const RemoteCacheCounters remote_before =
-        cache != nullptr ? cache->remote_counters() : RemoteCacheCounters{};
 
     const std::vector<IndexRange> plan = plan_shards(lo, hi, opts.shards);
 
@@ -233,12 +232,21 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
     proto.eval.evaluate_hardware = eval.evaluate_hardware;
     proto.eval.use_hw_cache = eval.use_hw_cache;
     proto.eval.use_sliced = eval.use_sliced;
-    // Cutoffs arrive resolved (the service edge resolves before evaluate());
-    // shipping the integers pins every replica to the same engine per point.
-    proto.eval.exhaustive_width_accurate = eval.exhaustive_width_accurate;
-    proto.eval.exhaustive_width_fast2 = eval.exhaustive_width_fast2;
-    proto.eval.exhaustive_width_planned = eval.exhaustive_width_planned;
-    proto.eval.exhaustive_width_sliced = eval.exhaustive_width_sliced;
+    // The wire always carries resolved per-path cutoffs, so every replica
+    // runs the coordinator's engine per point. All-zero widths mean
+    // "unpinned" on the wire and a replica would resolve them from its own
+    // calibration; an unpinned coordinator therefore sends its fixed
+    // cutoff on every path, which selects exactly the engines it would. A
+    // non-positive fixed cutoff travels as -1: still pinned, and like 0 it
+    // falls back to exhaustive_max_width in select_error_engine.
+    const bool unpinned = eval.exhaustive_width_accurate == 0 && eval.exhaustive_width_fast2 == 0 &&
+                          eval.exhaustive_width_planned == 0 && eval.exhaustive_width_sliced == 0;
+    const int fixed_cutoff = eval.exhaustive_max_width > 0 ? eval.exhaustive_max_width : -1;
+    const auto resolved = [&](int per_path) { return unpinned ? fixed_cutoff : per_path; };
+    proto.eval.exhaustive_width_accurate = resolved(eval.exhaustive_width_accurate);
+    proto.eval.exhaustive_width_fast2 = resolved(eval.exhaustive_width_fast2);
+    proto.eval.exhaustive_width_planned = resolved(eval.exhaustive_width_planned);
+    proto.eval.exhaustive_width_sliced = resolved(eval.exhaustive_width_sliced);
     proto.stream_points = true;
     proto.export_json = false;
     proto.point_bits = true;
@@ -466,7 +474,7 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
     // Local fallback, ascending so the merger keeps streaming a contiguous
     // prefix. Runs through the same evaluate_sweep as any worker — same
     // bytes no matter who computes a point — on the caller's pool and the
-    // resident cache tier, honoring cancel/deadline like the dispatch did.
+    // resident cache, honoring cancel/deadline like the dispatch did.
     std::sort(d.local.begin(), d.local.end());
     std::optional<ThreadPool> fallback_pool;
     ThreadPool* pool = eval.pool;
@@ -535,15 +543,6 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
             if (warm_keys != nullptr) {
                 for (const uint64_t key : keys) warm_keys->insert(key);
             }
-        }
-        if (cache != nullptr) {
-            const RemoteCacheCounters after = cache->remote_counters();
-            stats->remote.enabled = after.enabled;
-            stats->remote.hits = after.hits - remote_before.hits;
-            stats->remote.misses = after.misses - remote_before.misses;
-            stats->remote.errors = after.errors - remote_before.errors;
-            stats->remote.timeouts = after.timeouts - remote_before.timeouts;
-            stats->remote.puts = after.puts - remote_before.puts;
         }
         stats->wall_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
     }

@@ -33,8 +33,9 @@
 
 namespace sdlc::cluster {
 
-/// Fan-out knobs. `workers` entries use the cache-peer spec grammar
-/// ("unix:PATH" or "HOST:PORT") — one serve replica per entry.
+/// Fan-out knobs. `workers` entries use the peer spec grammar of
+/// dse/remote_cache.h ("unix:PATH" or "HOST:PORT") — one serve replica per
+/// entry.
 struct ClusterOptions {
     std::vector<std::string> workers;
     /// Fixed shard count per sweep. The cut depends only on this and the
@@ -57,8 +58,7 @@ struct ClusterOptions {
 
     /// The shard re-dispatch schedule as a RetryPolicy: shard_retries maps
     /// to the attempt budget (exhausted() == "run it locally"),
-    /// shard_backoff_ms to the delay curve. The same vocabulary the remote
-    /// cache uses for peer cooldowns.
+    /// shard_backoff_ms to the delay curve.
     [[nodiscard]] RetryPolicy shard_policy() const noexcept;
 };
 

@@ -41,23 +41,6 @@ SynthesisReport CostCache::get_or_synthesize(const Netlist& net, const CellLibra
     return report;
 }
 
-bool CostCache::lookup(uint64_t key, SynthesisReport& out) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = reports_.find(key);
-    if (it == reports_.end()) {
-        ++misses_;
-        return false;
-    }
-    ++hits_;
-    out = it->second;
-    return true;
-}
-
-void CostCache::insert(uint64_t key, const SynthesisReport& report) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    reports_.emplace(key, report);
-}
-
 bool CostCache::contains(uint64_t key) const {
     std::lock_guard<std::mutex> lock(mutex_);
     return reports_.find(key) != reports_.end();

@@ -277,12 +277,6 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
     size_t next_emit = 0;
     std::vector<uint8_t> ready(configs.size(), 0);
 
-    // Remote-tier counters are reported as this sweep's delta: snapshot the
-    // raw counters here and subtract after the run.
-    const RemoteCacheCounters remote_before =
-        point_opts.hw_cache != nullptr ? point_opts.hw_cache->remote_counters()
-                                       : RemoteCacheCounters{};
-
     const bool has_deadline = opts.deadline != std::chrono::steady_clock::time_point{};
     std::vector<uint64_t> hw_keys(configs.size(), 0);
     parallel_for(*pool, configs.size(), [&](size_t i) {
@@ -322,15 +316,6 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
             } else {
                 ++stats->hw_cache_misses;
             }
-        }
-        if (point_opts.hw_cache != nullptr) {
-            const RemoteCacheCounters after = point_opts.hw_cache->remote_counters();
-            stats->remote.enabled = after.enabled;
-            stats->remote.hits = after.hits - remote_before.hits;
-            stats->remote.misses = after.misses - remote_before.misses;
-            stats->remote.errors = after.errors - remote_before.errors;
-            stats->remote.timeouts = after.timeouts - remote_before.timeouts;
-            stats->remote.puts = after.puts - remote_before.puts;
         }
         stats->wall_seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

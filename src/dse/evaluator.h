@@ -79,11 +79,11 @@ struct EvalOptions {
     /// full flow (the `dse_tool --no-hw-cache` escape hatch).
     bool use_hw_cache = true;
     /// Optional externally owned cache to share across sweeps (service
-    /// loops, repeated runs): a plain CostCache or a RemoteCostCache tier.
-    /// When null and use_hw_cache is set, evaluate_sweep creates a
-    /// sweep-local cache. Every SynthesisCache returns reports
-    /// bit-identical to synthesize(), so this knob changes speed only.
-    SynthesisCache* hw_cache = nullptr;
+    /// loops, repeated runs). When null and use_hw_cache is set,
+    /// evaluate_sweep creates a sweep-local cache. The cache returns
+    /// reports bit-identical to synthesize(), so this knob changes speed
+    /// only.
+    CostCache* hw_cache = nullptr;
     /// Optional externally owned worker pool. When null, evaluate_sweep
     /// spins up a sweep-local pool of `threads` workers; a long-lived
     /// service passes its own pool so every request reuses one set of
@@ -193,11 +193,6 @@ struct SweepStats {
     bool hw_cache_enabled = false;  ///< cache active for this sweep
     uint64_t hw_cache_hits = 0;     ///< points served from the cache
     uint64_t hw_cache_misses = 0;   ///< points that ran the synthesis flow
-    /// Remote-tier traffic during this sweep (delta of the cache's raw
-    /// counters). Unlike the fields above these are scheduling-dependent,
-    /// so they feed tool summaries and service stats only — never the JSON
-    /// export or the deterministic sweep event stream.
-    RemoteCacheCounters remote;
     /// Which error engine evaluated how many points, and the cutoff policy
     /// that decided it. Pure replay of select_error_engine over the sweep's
     /// configs (deterministic; safe for the JSON export summary).

@@ -1,41 +1,8 @@
 #include "dse/remote_cache.h"
 
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <stdexcept>
-#include <utility>
-
-#include "dse/cache_wire.h"
 #include "serve/socket.h"
-#include "util/hash.h"
 
 namespace sdlc {
-
-namespace {
-
-/// Applies the per-operation budget to both directions of `fd`.
-void set_socket_timeouts(int fd, int timeout_ms) {
-    if (timeout_ms <= 0) return;
-    timeval tv{};
-    tv.tv_sec = timeout_ms / 1000;
-    tv.tv_usec = (timeout_ms % 1000) * 1000;
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-    (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-}
-
-bool is_timeout_errno(int err) { return err == EAGAIN || err == EWOULDBLOCK; }
-
-int64_t steady_now_ms() {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-}  // namespace
 
 bool parse_cache_peer(const std::string& spec, CachePeerAddress& out, std::string* error) {
     auto fail = [error](const std::string& message) {
@@ -90,358 +57,6 @@ bool parse_cache_peer_list(const std::string& list, std::vector<std::string>& ou
         return false;
     }
     return true;
-}
-
-// ------------------------------------------------------------- hash ring ----
-
-CacheHashRing::CacheHashRing(const std::vector<std::string>& peer_specs, unsigned vnodes) {
-    const unsigned per_peer = vnodes == 0 ? 1 : vnodes;
-    ring_.reserve(peer_specs.size() * per_peer);
-    for (size_t i = 0; i < peer_specs.size(); ++i) {
-        uint64_t h = kFnvOffsetBasis;
-        hash_mix_string(h, peer_specs[i]);
-        for (unsigned v = 0; v < per_peer; ++v) {
-            uint64_t point = h;
-            hash_mix(point, v);
-            ring_.emplace_back(hash_avalanche(point), i);
-        }
-    }
-    std::sort(ring_.begin(), ring_.end());
-}
-
-size_t CacheHashRing::pick(uint64_t key) const noexcept {
-    if (ring_.empty()) return npos;
-    // Re-avalanche so ring placement is independent of the key's own
-    // hashing scheme.
-    const uint64_t point = hash_avalanche(key);
-    const auto it = std::lower_bound(ring_.begin(), ring_.end(),
-                                     std::make_pair(point, size_t{0}));
-    return it == ring_.end() ? ring_.front().second : it->second;
-}
-
-std::vector<size_t> CacheHashRing::successors(uint64_t key, size_t count) const {
-    std::vector<size_t> out;
-    if (ring_.empty() || count == 0) return out;
-    const uint64_t point = hash_avalanche(key);
-    const auto it = std::lower_bound(ring_.begin(), ring_.end(),
-                                     std::make_pair(point, size_t{0}));
-    const size_t start = static_cast<size_t>(it - ring_.begin()) % ring_.size();
-    // Walk clockwise collecting distinct peers: the owner's vnodes and its
-    // neighbors' interleave, so consecutive *distinct* owners are exactly
-    // the replication successors every identically-configured process
-    // agrees on.
-    for (size_t step = 0; step < ring_.size() && out.size() < count; ++step) {
-        const size_t owner = ring_[(start + step) % ring_.size()].second;
-        bool seen = false;
-        for (const size_t chosen : out) seen = seen || chosen == owner;
-        if (!seen) out.push_back(owner);
-    }
-    return out;
-}
-
-// ------------------------------------------------------- RemoteCostCache ----
-
-namespace {
-
-RetryPolicy cooldown_policy_from(const RemoteCacheOptions& opts) {
-    RetryPolicy policy;
-    policy.base_delay_ms = opts.cooldown_ms;
-    policy.max_delay_ms = opts.max_cooldown_ms > opts.cooldown_ms ? opts.max_cooldown_ms
-                                                                  : opts.cooldown_ms;
-    policy.multiplier = 2.0;
-    policy.jitter = 0.25;
-    return policy;
-}
-
-}  // namespace
-
-RemoteCostCache::RemoteCostCache(CostCache& local, const RemoteCacheOptions& opts)
-    : local_(local),
-      opts_(opts),
-      cooldown_policy_(cooldown_policy_from(opts)),
-      ring_(opts.peers, opts.vnodes) {
-    peers_.reserve(opts_.peers.size());
-    for (const std::string& spec : opts_.peers) {
-        auto peer = std::make_unique<Peer>();
-        std::string error;
-        if (!parse_cache_peer(spec, peer->address, &error)) {
-            throw std::invalid_argument(error);
-        }
-        peer->spec = spec;
-        // Per-peer jitter stream: peers desynchronize their re-probes but
-        // a given peer reproduces the same schedule run over run.
-        peer->retry_seed = RetryPolicy::seed_from(spec);
-        peers_.push_back(std::move(peer));
-    }
-    counters_.enabled = !peers_.empty();
-}
-
-RemoteCostCache::~RemoteCostCache() {
-    for (const auto& peer : peers_) {
-        std::lock_guard<std::mutex> lock(peer->mutex);
-        if (peer->fd >= 0) ::close(peer->fd);
-        peer->fd = -1;
-    }
-}
-
-std::vector<uint64_t> RemoteCostCache::keys() const { return local_.keys(); }
-
-RemoteCacheCounters RemoteCostCache::remote_counters() const {
-    std::lock_guard<std::mutex> lock(counter_mutex_);
-    return counters_;
-}
-
-size_t RemoteCostCache::peer_count() const noexcept { return peers_.size(); }
-
-bool RemoteCostCache::admit(Peer& peer) const {
-    const uint32_t state = peer.state.load(std::memory_order_acquire);
-    if (state == kUp) return true;
-    if (state == kProbing) return false;  // someone's canary is in flight
-    if (steady_now_ms() < peer.down_until_ms.load(std::memory_order_acquire)) {
-        return false;  // cooling down: silent local fallback
-    }
-    // Cooldown over: exactly one caller wins the canary slot and sends the
-    // single probe request; the rest keep synthesizing locally until the
-    // probe's verdict is in.
-    uint32_t expected = kDown;
-    return peer.state.compare_exchange_strong(expected, kProbing, std::memory_order_acq_rel);
-}
-
-void RemoteCostCache::mark_down(Peer& peer) const {
-    if (peer.fd >= 0) ::close(peer.fd);
-    peer.fd = -1;
-    peer.buffer.clear();
-    ++peer.failures;
-    RetryPolicy policy = cooldown_policy_;
-    policy.seed = peer.retry_seed;
-    peer.down_until_ms.store(steady_now_ms() + policy.delay_ms(peer.failures),
-                             std::memory_order_release);
-    peer.state.store(kDown, std::memory_order_release);
-}
-
-void RemoteCostCache::mark_up(Peer& peer) const {
-    peer.failures = 0;
-    peer.state.store(kUp, std::memory_order_release);
-}
-
-bool RemoteCostCache::transact(Peer& peer, const std::string& line,
-                               std::string& response_line, bool& timed_out) {
-    timed_out = false;
-    auto fail = [&](bool timeout) {
-        mark_down(peer);
-        timed_out = timeout;
-        return false;
-    };
-
-    if (peer.fd < 0) {
-        // The per-operation budget covers the connect too: a blackholed
-        // peer must not stall a sweep worker for the kernel's own connect
-        // timeout.
-        try {
-            peer.fd = peer.address.is_unix
-                          ? serve::unix_socket_connect(peer.address.path_or_host,
-                                                       opts_.timeout_ms)
-                          : serve::tcp_connect(peer.address.path_or_host.empty()
-                                                   ? "127.0.0.1"
-                                                   : peer.address.path_or_host,
-                                               peer.address.port, opts_.timeout_ms);
-        } catch (const std::runtime_error&) {
-            return fail(errno == ETIMEDOUT);
-        }
-        set_socket_timeouts(peer.fd, opts_.timeout_ms);
-        peer.buffer.clear();
-    }
-
-    // Send the request line. MSG_NOSIGNAL: a daemon dying mid-write must
-    // surface as EPIPE here, not as a process-killing SIGPIPE in whatever
-    // tool embeds the sweep.
-    std::string out = line;
-    out.push_back('\n');
-    size_t sent = 0;
-    while (sent < out.size()) {
-        const ssize_t n = ::send(peer.fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
-        if (n <= 0) {
-            if (n < 0 && errno == EINTR) continue;
-            return fail(n < 0 && is_timeout_errno(errno));
-        }
-        sent += static_cast<size_t>(n);
-    }
-
-    // Read exactly one response line (requests and responses pair 1:1 on
-    // this connection; any failure closes it, so pairing can never skew).
-    for (;;) {
-        const size_t newline = peer.buffer.find('\n');
-        if (newline != std::string::npos) {
-            response_line = peer.buffer.substr(0, newline);
-            peer.buffer.erase(0, newline + 1);
-            return true;
-        }
-        if (peer.buffer.size() > kCacheMaxRequestBytes) {
-            return fail(false);  // runaway response
-        }
-        char chunk[4096];
-        const ssize_t n = ::recv(peer.fd, chunk, sizeof chunk, 0);
-        if (n <= 0) {
-            if (n < 0 && errno == EINTR) continue;
-            return fail(n < 0 && is_timeout_errno(errno));
-        }
-        peer.buffer.append(chunk, static_cast<size_t>(n));
-    }
-}
-
-void RemoteCostCache::count_failure(bool timeout) {
-    std::lock_guard<std::mutex> lock(counter_mutex_);
-    if (timeout) {
-        ++counters_.timeouts;
-    } else {
-        ++counters_.errors;
-    }
-}
-
-RemoteCostCache::FetchResult RemoteCostCache::remote_get(Peer& peer, uint64_t key,
-                                                         SynthesisReport& out,
-                                                         const obs::TraceContext& trace) {
-    if (!admit(peer)) return FetchResult::kFailed;  // lock-free fast path
-    std::lock_guard<std::mutex> lock(peer.mutex);
-    // Re-check under the mutex: a request we queued behind may have just
-    // marked the peer down, and probing it again would both double-count
-    // the failure and defeat the single-canary promise. (kProbing here
-    // means *we* are the canary — only one CAS winner exists.)
-    if (peer.state.load(std::memory_order_acquire) == kDown) return FetchResult::kFailed;
-    const std::string id = "g" + std::to_string(peer.next_id++);
-    std::string response_line;
-    bool timed_out = false;
-    if (!transact(peer, cache_get_line(id, key, trace), response_line, timed_out)) {
-        count_failure(timed_out);
-        return FetchResult::kFailed;
-    }
-    CacheResponse response;
-    if (!parse_cache_response(response_line, response) || !response.ok ||
-        !response.has_hit || response.id != id) {
-        // The daemon is answering but not our protocol — unparseable,
-        // rejecting valid lines, or (id mismatch) answering some *other*
-        // request, which would pair responses with the wrong keys from
-        // here on. Stop talking to it; a wrong report must never be
-        // cached.
-        mark_down(peer);
-        count_failure(false);
-        return FetchResult::kFailed;
-    }
-    mark_up(peer);
-    // Daemon-side spans for a traced request ride the response line; land
-    // them on the thread's bound recorder (tier already "cache").
-    if (!response.spans.empty()) {
-        const obs::TraceBinding& tb = obs::current_binding();
-        if (tb.recorder != nullptr) {
-            for (obs::Span& span : response.spans) tb.recorder->record(std::move(span));
-        }
-    }
-    if (!response.hit) return FetchResult::kMiss;
-    out = response.report;
-    return FetchResult::kHit;
-}
-
-bool RemoteCostCache::remote_put(Peer& peer, uint64_t key, const SynthesisReport& report,
-                                 const obs::TraceContext& trace) {
-    if (!admit(peer)) return false;
-    std::lock_guard<std::mutex> lock(peer.mutex);
-    if (peer.state.load(std::memory_order_acquire) == kDown) return false;
-    const std::string id = "p" + std::to_string(peer.next_id++);
-    std::string response_line;
-    bool timed_out = false;
-    if (!transact(peer, cache_put_line(id, key, report, trace), response_line, timed_out)) {
-        count_failure(timed_out);
-        return false;
-    }
-    CacheResponse response;
-    if (!parse_cache_response(response_line, response) || !response.ok ||
-        response.id != id) {
-        mark_down(peer);
-        count_failure(false);
-        return false;
-    }
-    mark_up(peer);
-    if (!response.spans.empty()) {
-        const obs::TraceBinding& tb = obs::current_binding();
-        if (tb.recorder != nullptr) {
-            for (obs::Span& span : response.spans) tb.recorder->record(std::move(span));
-        }
-    }
-    std::lock_guard<std::mutex> counter_lock(counter_mutex_);
-    ++counters_.puts;
-    return true;
-}
-
-SynthesisReport RemoteCostCache::get_or_synthesize(const Netlist& net, const CellLibrary& lib,
-                                                   const SynthesisOptions& opts) {
-    // Spans ride the thread-local binding installed by the eval worker.
-    const obs::TraceBinding& tb = obs::current_binding();
-    const uint64_t key = CostCache::content_key(net, lib, opts);
-    SynthesisReport report;
-    {
-        obs::ScopedSpan lookup_span(tb.recorder, tb.ctx, "cache_lookup_local");
-        if (local_.lookup(key, report)) return report;
-    }
-
-    // Primary first, then its replication successors: with replicas=1 this
-    // is classic sharding; with more, a dead primary degrades to one extra
-    // round trip instead of a synthesis.
-    const std::vector<size_t> targets =
-        ring_.successors(key, opts_.replicas == 0 ? 1 : opts_.replicas);
-    std::vector<Peer*> missed;  // answered "not cached", in fall-through order
-    for (size_t i = 0; i < targets.size(); ++i) {
-        Peer& peer = *peers_[targets[i]];
-        obs::ScopedSpan remote_span(tb.recorder, tb.ctx, "cache_lookup_remote");
-        const FetchResult fetched = remote_get(peer, key, report, remote_span.context());
-        remote_span.stop();
-        switch (fetched) {
-            case FetchResult::kHit: {
-                local_.insert(key, report);
-                {
-                    std::lock_guard<std::mutex> lock(counter_mutex_);
-                    if (i == 0) {
-                        ++counters_.hits;
-                    } else {
-                        ++counters_.replica_hits;
-                    }
-                }
-                // Read repair: a peer earlier in the chain answered miss
-                // for a key a replica holds — write it back so the next
-                // reader finds it at the primary.
-                for (Peer* repair : missed) {
-                    obs::ScopedSpan put_span(tb.recorder, tb.ctx, "cache_put");
-                    if (remote_put(*repair, key, report, put_span.context())) {
-                        std::lock_guard<std::mutex> lock(counter_mutex_);
-                        ++counters_.read_repairs;
-                    }
-                }
-                return report;
-            }
-            case FetchResult::kMiss: {
-                if (i == 0) {
-                    std::lock_guard<std::mutex> lock(counter_mutex_);
-                    ++counters_.misses;
-                }
-                missed.push_back(&peer);
-                break;
-            }
-            case FetchResult::kFailed:
-                break;  // counted inside remote_get; fall through
-        }
-    }
-
-    {
-        obs::ScopedSpan synth_span(tb.recorder, tb.ctx, "synthesize");
-        report = synthesize(net, lib, opts);
-    }
-    local_.insert(key, report);
-    // Fan the write out to every successor that just answered; a down
-    // peer's cooldown must not be probed on every synthesized point.
-    for (Peer* target : missed) {
-        obs::ScopedSpan put_span(tb.recorder, tb.ctx, "cache_put");
-        remote_put(*target, key, report, put_span.context());
-    }
-    return report;
 }
 
 }  // namespace sdlc

@@ -1,49 +1,19 @@
-// Sharded remote tier over the synthesis cache: one warm cache for a fleet.
+// Peer endpoint specs: the grammar behind `--workers` (dse_tool,
+// serve_tool) and the cluster coordinator's worker list.
 //
-// A RemoteCostCache layers a set of cache-daemon peers (cache_tool
-// processes, reachable over Unix-domain or TCP sockets) in front of a local
-// in-process CostCache. Lookup order is local hit -> remote hit -> run
-// synthesize() and write the result back to the owning peer, so every
-// replica of a serving fleet benefits from every other replica's synthesis
-// work after a single round trip.
-//
-// Sharding is consistent hashing of the content key over the peer list:
-// every process configured with the same peer specs (in any order) sends a
-// given key to the same daemon, which is what makes the tier a shared cache
-// rather than N independent ones, and adding a peer only remaps ~1/N of the
-// key space.
-//
-// Failure model: the tier is an accelerator, never a dependency. A peer
-// that cannot be reached, times out, or answers garbage is marked down for
-// a cooldown and its keys silently fall through to local synthesis; results
-// are bit-identical with any peer topology — including zero live peers —
-// because the wire format round-trips reports exactly and synthesize() is
-// deterministic. The counters record what happened (hits / misses / errors
-// / timeouts / puts) for observability only.
-//
-// Thread safety: safe for concurrent get_or_synthesize from sweep workers.
-// Each peer owns one persistent connection serialized by a per-peer mutex
-// (requests are cheap request/response pairs; pool contention is bounded by
-// the peer count).
+// A spec is "unix:PATH" or "HOST:PORT" (also accepted with an explicit
+// "tcp:" prefix). One parser serves every tool, so two tools can never
+// drift on what a peer list means.
 #ifndef SDLC_DSE_REMOTE_CACHE_H
 #define SDLC_DSE_REMOTE_CACHE_H
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "dse/cost_cache.h"
-#include "obs/trace.h"
-#include "util/retry.h"
-
 namespace sdlc {
 
-/// One parsed peer endpoint: "unix:PATH" or "HOST:PORT" (also accepted
-/// with an explicit "tcp:" prefix).
+/// One parsed peer endpoint.
 struct CachePeerAddress {
     bool is_unix = false;
     std::string path_or_host;
@@ -56,149 +26,12 @@ struct CachePeerAddress {
 [[nodiscard]] bool parse_cache_peer(const std::string& spec, CachePeerAddress& out,
                                     std::string* error = nullptr);
 
-/// Splits a comma-separated `--cache-peers` list and validates every spec
-/// (empty items are skipped; a non-empty list yielding no peers is an
-/// error). The one parser behind both dse_tool and serve_tool, so the two
-/// tools can never drift on what a peer list means. Returns false with a
-/// message in *error (when non-null).
+/// Splits a comma-separated peer list and validates every spec (empty
+/// items are skipped; a non-empty list yielding no peers is an error).
+/// Returns false with a message in *error (when non-null).
 [[nodiscard]] bool parse_cache_peer_list(const std::string& list,
                                          std::vector<std::string>& out,
                                          std::string* error = nullptr);
-
-/// Remote-tier knobs.
-struct RemoteCacheOptions {
-    std::vector<std::string> peers;  ///< peer specs (see parse_cache_peer)
-    /// Per-operation budget (connect / send / receive). A peer slower than
-    /// this is treated as down: synthesis is cheaper than waiting forever.
-    int timeout_ms = 250;
-    /// Cooldown after a peer's *first* failure; consecutive failures back
-    /// off exponentially (deterministic jitter) up to max_cooldown_ms —
-    /// see util/retry.h, the policy shared with the cluster coordinator.
-    int cooldown_ms = 1000;
-    /// Cap on the escalating cooldown.
-    int max_cooldown_ms = 8000;
-    /// Virtual nodes per peer on the hash ring (evens out the key split).
-    unsigned vnodes = 64;
-    /// Replication factor: each key is stored on this many distinct ring
-    /// successors. Gets fall through primary -> replicas -> local
-    /// synthesis; a replica hit is written back to a primary that answered
-    /// miss (read repair). 1 = classic sharding (no replication).
-    unsigned replicas = 1;
-};
-
-/// Consistent-hash ring mapping content keys to peer indices. Ring points
-/// derive from the peer *spec strings*, so every process with the same
-/// peer list — in any order — shards identically.
-class CacheHashRing {
-public:
-    static constexpr size_t npos = static_cast<size_t>(-1);
-
-    CacheHashRing(const std::vector<std::string>& peer_specs, unsigned vnodes);
-
-    /// Index (into the constructor's peer list) owning `key`; npos when the
-    /// ring is empty.
-    [[nodiscard]] size_t pick(uint64_t key) const noexcept;
-
-    /// The first `count` *distinct* peers walking the ring clockwise from
-    /// `key`'s point: the primary first, then its replication successors.
-    /// Shorter than `count` when there are fewer distinct peers; empty on
-    /// an empty ring. successors(key, 1) == {pick(key)}.
-    [[nodiscard]] std::vector<size_t> successors(uint64_t key, size_t count) const;
-
-private:
-    std::vector<std::pair<uint64_t, size_t>> ring_;  ///< sorted by point
-};
-
-/// The sharded remote cache tier (see file comment).
-class RemoteCostCache final : public SynthesisCache {
-public:
-    /// `local` is the caller-owned in-process tier; it must outlive this
-    /// object. Throws std::invalid_argument on a malformed peer spec.
-    RemoteCostCache(CostCache& local, const RemoteCacheOptions& opts);
-    ~RemoteCostCache() override;
-
-    RemoteCostCache(const RemoteCostCache&) = delete;
-    RemoteCostCache& operator=(const RemoteCostCache&) = delete;
-
-    [[nodiscard]] SynthesisReport get_or_synthesize(const Netlist& net, const CellLibrary& lib,
-                                                    const SynthesisOptions& opts) override;
-
-    /// The local tier's memoized keys (remote contents are irrelevant to
-    /// sweep statistics: a remote hit still fills the local tier).
-    [[nodiscard]] std::vector<uint64_t> keys() const override;
-
-    [[nodiscard]] RemoteCacheCounters remote_counters() const override;
-
-    [[nodiscard]] size_t peer_count() const noexcept;
-
-private:
-    enum class FetchResult { kHit, kMiss, kFailed };
-
-    /// Peer availability for the canary re-probe state machine. A peer
-    /// leaves kDown through exactly one thread winning the kDown->kProbing
-    /// transition once the cooldown expires; everyone else keeps falling
-    /// back to local synthesis until that canary request proves the peer
-    /// is really back (kUp) or re-arms the cooldown (kDown again, with a
-    /// longer, capped backoff). A recovered peer therefore sees one
-    /// request, not the entire backlog at once.
-    enum PeerState : uint32_t { kUp = 0, kDown = 1, kProbing = 2 };
-
-    struct Peer {
-        CachePeerAddress address;
-        std::string spec;
-        uint64_t retry_seed = 0;  ///< jitter stream (derived from spec)
-        std::mutex mutex;
-        int fd = -1;
-        std::string buffer;  ///< partial-line carry between responses
-        uint64_t next_id = 0;
-        int failures = 0;  ///< consecutive failures (mutex-guarded)
-        /// Lock-free gate state: checked before the mutex so threads never
-        /// queue up behind a peer that is cooling down or being canaried.
-        std::atomic<uint32_t> state{kUp};
-        std::atomic<int64_t> down_until_ms{0};  ///< steady-clock ms
-    };
-
-    /// Lock-free admission: true when the caller may talk to the peer —
-    /// either it is up, or its cooldown expired and the caller just won
-    /// the single canary slot. False = skip straight to local synthesis.
-    [[nodiscard]] bool admit(Peer& peer) const;
-
-    /// Closes the peer's connection and (re-)arms its cooldown with the
-    /// escalating retry policy (the one place the mark-down ritual lives).
-    /// Caller holds the peer's mutex.
-    void mark_down(Peer& peer) const;
-
-    /// Clears the failure streak after a successful round trip. Caller
-    /// holds the peer's mutex.
-    void mark_up(Peer& peer) const;
-
-    /// Records one failed remote operation as a timeout or an error.
-    void count_failure(bool timeout);
-
-    /// Runs one request/response round trip on `peer` (connecting first if
-    /// needed). Returns false after mark_down; `timed_out` tells a timeout
-    /// apart from a hard error.
-    bool transact(Peer& peer, const std::string& line, std::string& response_line,
-                  bool& timed_out);
-
-    /// `trace` (valid only when the current request is traced) rides the
-    /// get/put line so the daemon returns its own spans, which land on the
-    /// thread's bound recorder.
-    FetchResult remote_get(Peer& peer, uint64_t key, SynthesisReport& out,
-                           const obs::TraceContext& trace);
-    /// Returns true when the peer acknowledged the put.
-    bool remote_put(Peer& peer, uint64_t key, const SynthesisReport& report,
-                    const obs::TraceContext& trace);
-
-    CostCache& local_;
-    const RemoteCacheOptions opts_;
-    const RetryPolicy cooldown_policy_;
-    CacheHashRing ring_;
-    std::vector<std::unique_ptr<Peer>> peers_;
-
-    mutable std::mutex counter_mutex_;
-    RemoteCacheCounters counters_;
-};
 
 }  // namespace sdlc
 

@@ -213,7 +213,6 @@ std::string chrome_trace_json(const std::vector<TraceTree>& trees) {
         if (tier == "client") return 1;
         if (tier == "serve") return 2;
         if (tier == "worker") return 3;
-        if (tier == "cache") return 4;
         return 5;
     };
     std::string out = "{\"traceEvents\": [";

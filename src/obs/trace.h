@@ -1,8 +1,8 @@
-// Request-scoped distributed tracing for the serve/cluster/cache tiers.
+// Request-scoped distributed tracing for the serve and cluster tiers.
 //
 // A `TraceContext` (128-bit trace id + 64-bit span id) rides an optional
-// `trace` field on sweep requests, coordinator shard sub-requests and
-// cache_wire get/put lines; each process records named spans into a
+// `trace` field on sweep requests and coordinator shard sub-requests;
+// each process records named spans into a
 // lock-sharded `SpanRecorder` through RAII `ScopedSpan` guards and returns
 // them on existing response lines (a `spans` field on `done`/stats-style
 // events), where the coordinator stitches them into one tree per request.
@@ -136,8 +136,8 @@ private:
     double start_s_ = 0.0;
 };
 
-/// Thread-local trace binding: lets shared components (CostCache,
-/// RemoteCostCache) record spans for the request currently executing on
+/// Thread-local trace binding: lets shared components (CostCache) record
+/// spans for the request currently executing on
 /// this thread without threading a recorder through their interfaces.
 struct TraceBinding {
     SpanRecorder* recorder = nullptr;

@@ -13,8 +13,8 @@
 //                    what the same requests produce over the line
 //                    transport — HTTP is framing, never content.
 //   GET  /metrics    the existing Prometheus exposition text, so a stock
-//                    Prometheus can scrape serve_tool and cache_tool
-//                    directly (no textfile-collector workaround).
+//                    Prometheus can scrape serve_tool directly (no
+//                    textfile-collector workaround).
 //   GET  /healthz    200 "ok" liveness probe (always unauthenticated).
 //
 // On top of the routes sit two production controls:
@@ -40,7 +40,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -49,7 +48,7 @@
 #include <vector>
 
 #include "obs/access_log.h"
-#include "serve/line_service.h"
+#include "serve/service.h"
 #include "serve/socket.h"
 
 namespace sdlc::serve {
@@ -72,12 +71,6 @@ struct HttpOptions {
     /// Bucket depth: how many sweeps a client may burst above the steady
     /// rate (0 = same as quota_rps, minimum 1).
     double quota_burst = 0.0;
-    /// Serve POST /v1/sweep (the sweep server). The cache daemon turns
-    /// this off: its HTTP surface is /metrics and /healthz only.
-    bool enable_sweep = true;
-    /// Renders the current Prometheus exposition text for GET /metrics.
-    /// Unset = /metrics answers 404.
-    std::function<std::string()> metrics_fn;
     /// When set, one structured JSON line per HTTP request lands here
     /// (method, path, status, peer, outcome, bytes_out).
     std::shared_ptr<obs::AccessLog> access_log;
@@ -90,7 +83,7 @@ struct HttpOptions {
 /// Serves HTTP/1.1 on `listener` until the service shuts down. Same
 /// blocking lifecycle contract as serve_listener(): returns only once
 /// every accepted connection is drained and joined.
-void serve_http_listener(SocketListener& listener, LineService& service,
+void serve_http_listener(SocketListener& listener, SweepService& service,
                          const HttpOptions& options);
 
 /// Reads a bearer token from `path` for --auth-token-file: the first line,

@@ -191,8 +191,6 @@ struct ServiceStats {
     LatencyHistogram queue_wait;
     LatencyHistogram stage_evaluate;
     LatencyHistogram stage_serialize;
-    /// Remote cache-tier traffic (all-zero/disabled without --cache-peers).
-    RemoteCacheCounters remote_cache;
     size_t queue_depth = 0;         ///< requests waiting in the queue
     size_t in_flight = 0;           ///< requests being processed right now
     double busy_seconds = 0.0;      ///< summed sweep wall time

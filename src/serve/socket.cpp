@@ -1,7 +1,5 @@
 #include "serve/socket.h"
 
-#include "serve/fault.h"
-
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
@@ -13,11 +11,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <ctime>
 #include <stdexcept>
-#include <thread>
 
 namespace sdlc::serve {
 
@@ -182,8 +178,9 @@ namespace {
 /// Bounded connect: with timeout_ms >= 0 the socket connects in
 /// non-blocking mode, waits for writability at most timeout_ms, checks
 /// SO_ERROR, and is restored to blocking before returning. A caller that
-/// promises a per-operation budget (the remote cache tier) must not hang
-/// for the kernel's multi-minute connect timeout on a blackholed peer.
+/// promises a per-operation budget (the coordinator's worker connect)
+/// must not hang for the kernel's multi-minute connect timeout on a
+/// blackholed peer.
 /// Returns false with errno set on failure.
 /// Waits (up to timeout_ms; -1 forever) for an in-progress connect to
 /// resolve, then reports its outcome via SO_ERROR. Shared by the bounded
@@ -392,37 +389,9 @@ FdSink::~FdSink() {
     if (owns_fd_) ::close(fd_);
 }
 
-void FdSink::set_fault_injector(std::shared_ptr<FaultInjector> injector) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    injector_ = std::move(injector);
-}
-
 void FdSink::write_line(const std::string& line) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (dropped_) return;
-    if (injector_ != nullptr) {
-        const FaultAction fault = injector_->next_action();
-        if (fault.stall_ms > 0) {
-            // Sleeping under the sink lock is the point: a stalled peer
-            // blocks exactly the writers a real stalled peer would block.
-            std::this_thread::sleep_for(std::chrono::milliseconds(fault.stall_ms));
-        }
-        if (fault.short_write) {
-            (void)write_all(fd_, std::string_view(line).substr(0, line.size() / 2));
-        }
-        if (fault.disconnect || fault.short_write) {
-            // Sever instead of just dropping: the peer must observe the
-            // failure (EOF mid-stream), not merely silence.
-            ::shutdown(fd_, SHUT_RDWR);
-            dropped_ = true;
-            return;
-        }
-        if (fault.corrupt) {
-            const std::string mangled = FaultInjector::corrupt_line(line);
-            if (!write_all(fd_, mangled) || !write_all(fd_, "\n")) dropped_ = true;
-            return;
-        }
-    }
     if (!write_all(fd_, line) || !write_all(fd_, "\n")) dropped_ = true;
 }
 
@@ -430,9 +399,7 @@ void FdSink::write_raw(std::string_view data) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (dropped_) return;
     // Raw frames carry their own framing (HTTP heads, chunk envelopes), so
-    // no newline is appended; they bypass fault injection, which speaks the
-    // line protocol (corrupt_line etc.) and would break HTTP framing in
-    // ways no real network fault produces.
+    // no newline is appended.
     if (!write_all(fd_, data)) dropped_ = true;
 }
 

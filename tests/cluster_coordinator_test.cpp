@@ -1,13 +1,15 @@
 // Tests for the cluster sweep coordinator: deterministic shard planning,
 // the in-order shard merge (shuffled, interleaved, duplicated and partial
 // streams), bit-exact point wire round trips, the evaluator's shard-range
-// restriction, the shard sub-request serializer, and distributed_sweep /
-// CoordinatorService end to end against in-process worker replicas —
-// including dead-worker local fallback and retry accounting.
+// restriction, the shard sub-request serializer, the worker spec grammar,
+// and distributed_sweep / CoordinatorService end to end against in-process
+// worker replicas — including dead-worker local fallback, retry accounting
+// and byte-identity above the fixed exhaustive cutoff.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -22,6 +24,7 @@
 #include "dse/export.h"
 #include "dse/pareto.h"
 #include "dse/point_wire.h"
+#include "dse/remote_cache.h"
 #include "dse/shard_merge.h"
 #include "dse/sweep.h"
 #include "serve/metrics.h"
@@ -101,16 +104,20 @@ TEST(ShardMergerTest, ShuffledAddsEmitInEnumerationOrder) {
 TEST(ShardMergerTest, InterleavedShardStreamsStayOrdered) {
     // Two shard streams delivering concurrently, plus a duplicated range
     // (a retried shard re-sending indices already merged): first write
-    // wins and the emission order never changes.
+    // wins and the emission order never changes. The duplicates go out
+    // only once a's range is merged, so they are retries by construction.
     std::vector<size_t> emitted;
     ShardMerger merger(0, 40, [&](size_t index, const DesignPoint&) {
         emitted.push_back(index);
     });
+    std::latch a_merged(1);
     std::thread a([&] {
         for (size_t i = 20; i < 40; ++i) merger.add(i, marked_point(i));
+        a_merged.count_down();
     });
     std::thread b([&] {
         for (size_t i = 0; i < 20; ++i) merger.add(i, marked_point(i));
+        a_merged.wait();
         for (size_t i = 20; i < 30; ++i) merger.add(i, marked_point(999));  // duplicate
     });
     a.join();
@@ -249,6 +256,37 @@ TEST(SweepRequestJsonTest, RoundTripsThroughTheStrictParser) {
     EXPECT_EQ(back.shard_lo, 3u);
     EXPECT_EQ(back.shard_hi, 9u);
     EXPECT_TRUE(back.point_bits);
+}
+
+// ----------------------------------------------------------- worker specs --
+
+TEST(WorkerSpecTest, ParsesAndRejects) {
+    CachePeerAddress address;
+    std::string error;
+    ASSERT_TRUE(parse_cache_peer("unix:/tmp/x.sock", address, &error));
+    EXPECT_TRUE(address.is_unix);
+    EXPECT_EQ(address.path_or_host, "/tmp/x.sock");
+    ASSERT_TRUE(parse_cache_peer("127.0.0.1:7070", address, &error));
+    EXPECT_FALSE(address.is_unix);
+    EXPECT_EQ(address.port, 7070);
+    ASSERT_TRUE(parse_cache_peer("tcp:localhost:1234", address, &error));
+    EXPECT_EQ(address.path_or_host, "localhost");
+    EXPECT_FALSE(parse_cache_peer("unix:", address, &error));
+    EXPECT_FALSE(parse_cache_peer("no-port-here", address, &error));
+    EXPECT_FALSE(parse_cache_peer("host:notaport", address, &error));
+    EXPECT_FALSE(error.empty());
+}
+
+TEST(WorkerSpecTest, ListSkipsEmptyItemsAndRejectsEmptyLists) {
+    std::vector<std::string> workers;
+    ASSERT_TRUE(parse_cache_peer_list("unix:a.sock,,127.0.0.1:9", workers));
+    EXPECT_EQ(workers, (std::vector<std::string>{"unix:a.sock", "127.0.0.1:9"}));
+    ASSERT_TRUE(parse_cache_peer_list("", workers));
+    EXPECT_TRUE(workers.empty());
+    std::string error;
+    EXPECT_FALSE(parse_cache_peer_list(",", workers, &error));
+    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(parse_cache_peer_list("unix:a.sock,bad", workers, &error));
 }
 
 // ---------------------------------------------------- distributed sweeps ----
@@ -400,6 +438,58 @@ TEST(DistributedSweepTest, DeterministicCacheStatsMatchSingleNode) {
     (void)distributed_sweep(spec, eval, cluster, &warm, nullptr, &warm_keys);
     EXPECT_EQ(warm.hw_cache_misses, 0u);
     EXPECT_EQ(warm.hw_cache_hits, cold.hw_cache_hits + cold.hw_cache_misses);
+}
+
+/// The JSON export dse_tool writes for `points` (default objectives).
+std::string export_of(const std::vector<DesignPoint>& points, const SweepStats& stats) {
+    const ParetoResult pareto = pareto_analysis(objective_matrix(points));
+    return dse_to_json(points, pareto.rank, stats);
+}
+
+TEST(DistributedSweepTest, ExportsMatchLocalAboveTheFixedCutoff) {
+    // Width 12 sits above the fixed cutoff (10), so the engine per point
+    // depends on the cutoff the replicas apply. Whatever mode the
+    // coordinator runs in, replicas must use its cutoff rather than
+    // resolve their own from a local calibration.
+    Worker w1;
+    Worker w2;
+    SweepSpec spec;
+    spec.widths = {12};
+    spec.min_depth = 2;
+    spec.max_depth = 3;
+    spec.variants = {MultiplierVariant::kSdlc};
+    spec.schemes = {AccumulationScheme::kRowRipple};
+    ClusterOptions cluster;
+    cluster.workers = {w1.spec(), w2.spec()};
+    cluster.shards = 2;
+
+    struct Mode {
+        const char* name;
+        int fixed_cutoff;
+        bool auto_resolve;
+    };
+    const Mode modes[] = {
+        {"fixed (no auto)", 10, false},
+        {"pinned exhaustive_max_width=11", 11, false},
+        {"auto", 10, true},
+        {"non-positive fixed cutoff", 0, false},
+    };
+    for (const Mode& mode : modes) {
+        SCOPED_TRACE(mode.name);
+        EvalOptions eval;
+        eval.threads = 2;
+        eval.samples = 4096;
+        eval.exhaustive_max_width = mode.fixed_cutoff;
+        if (mode.auto_resolve) apply_auto_exhaustive(eval, spec, 2000.0);
+
+        SweepStats local_stats;
+        const std::vector<DesignPoint> local = evaluate_sweep(spec, eval, &local_stats);
+        SweepStats dist_stats;
+        const std::vector<DesignPoint> merged =
+            distributed_sweep(spec, eval, cluster, &dist_stats);
+        EXPECT_TRUE(points_identical(local, merged));
+        EXPECT_EQ(export_of(local, local_stats), export_of(merged, dist_stats));
+    }
 }
 
 TEST(DistributedSweepTest, CancelAborts) {

@@ -7,14 +7,15 @@
 #   - a worker killed -9 mid-sweep
 #   - a dead worker in an otherwise healthy list
 #   - a slow worker (a stalling endpoint) forcing shard-timeout retries
+#   - a width-12 sweep above the fixed exhaustive cutoff, where replicas
+#     must use the coordinator's cutoff, not their own calibration
 # Every topology must reproduce `dse_tool --json` exactly and exit 0; the
 # worker fleet is an accelerator, never a result-changing dependency.
-# Usage: cluster_topology.sh /path/to/dse_tool /path/to/serve_tool /path/to/cache_tool
+# Usage: cluster_topology.sh /path/to/dse_tool /path/to/serve_tool
 set -u
 
-dse="${1:?usage: cluster_topology.sh dse_tool serve_tool cache_tool}"
-serve="${2:?usage: cluster_topology.sh dse_tool serve_tool cache_tool}"
-cache="${3:?usage: cluster_topology.sh dse_tool serve_tool cache_tool}"
+dse="${1:?usage: cluster_topology.sh dse_tool serve_tool}"
+serve="${2:?usage: cluster_topology.sh dse_tool serve_tool}"
 workdir="$(mktemp -d)"
 cleanup() {
     # shellcheck disable=SC2046
@@ -115,6 +116,21 @@ grep -q '"shard_dispatch"' cluster_trace.json \
     || fail "trace carries no shard-dispatch spans"
 grep -q '"pid": 3' cluster_trace.json || fail "trace carries no worker-tier spans"
 
+# ---- above the fixed cutoff: the wire carries the coordinator's cutoff ------
+# Width 12 with --no-auto-exhaustive samples every point locally; replicas
+# left to resolve their own cutoff would run 2^24-pair exhaustive sweeps
+# instead and export different bytes.
+W12="--width 12 --variants sdlc --schemes ripple --depth-min 2 --depth-max 3 --samples 4096"
+"$dse" $W12 --no-auto-exhaustive --json w12_ref.json >/dev/null \
+    || fail "width-12 reference sweep failed"
+"$dse" $W12 --no-auto-exhaustive --workers "$WORKERS" --json w12.json >/dev/null \
+    || fail "width-12 cluster sweep failed"
+if cmp -s w12_ref.json w12.json; then
+    echo "ok: width-12 fixed-cutoff export byte-identical"
+else
+    fail "width-12 fixed-cutoff cluster export differs from local"
+fi
+
 # ---- worker killed mid-sweep -----------------------------------------------
 "$serve" --listen victim.sock --threads 1 2>/dev/null &
 victim=$!
@@ -136,10 +152,19 @@ completed=$(cluster_field deadone.txt completed)
 [ "${completed:-0}" -gt 0 ] || fail "dead-worker run completed no shards"
 
 # ---- slow worker: shard timeouts retry on the healthy peer -----------------
-# A cache daemon that sleeps 2 s before answering anything stands in for a
-# stalled replica: it accepts the connection, then produces no bytes, which
-# must trip the read-silence budget and requeue the shard.
-"$cache" --listen slow.sock --delay-ms 2000 2>/dev/null &
+# A listener that accepts connections and never answers stands in for a
+# stalled replica: it produces no bytes, which must trip the read-silence
+# budget and requeue the shard.
+python3 - slow.sock <<'PY' &
+import socket, sys
+srv = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+srv.bind(sys.argv[1])
+srv.listen(8)
+held = []
+while True:
+    conn, _ = srv.accept()
+    held.append(conn)
+PY
 wait_for_socket slow.sock
 "$dse" $SWEEP --workers "unix:w1.sock,unix:slow.sock" --shard-timeout-ms 100 \
     --json slow.json >slow.txt || fail "slow-worker sweep failed"

@@ -116,9 +116,6 @@ struct HttpFixture {
     explicit HttpFixture(HttpOptions h = {}, ServiceOptions o = {}) : opts(o), http(h) {
         service = std::make_unique<SweepService>(opts);
         listener = std::make_unique<TcpSocketServer>("127.0.0.1", 0);
-        if (!http.metrics_fn) {
-            http.metrics_fn = [this] { return prometheus_metrics(service->stats()); };
-        }
         loop = std::thread([this] { serve_http_listener(*listener, *service, http); });
     }
 

@@ -444,5 +444,18 @@ TEST(SweepService, ShutdownDrainsEveryQueuedRequest) {
     EXPECT_EQ(parse_event(late->lines().front()).find("code")->string, "shutting_down");
 }
 
+TEST(SweepService, ShutdownHookSetAfterShutdownRunsImmediately) {
+    // A transport thread may install its hook only after an embedder has
+    // already stopped the service; the hook must still fire, or the
+    // transport's accept loop would never be unblocked.
+    SweepService service;
+    service.request_shutdown();
+    int fired = 0;
+    service.set_on_shutdown([&fired] { ++fired; });
+    EXPECT_EQ(fired, 1);
+    service.request_shutdown();  // idempotent: no second call
+    EXPECT_EQ(fired, 1);
+}
+
 }  // namespace
 }  // namespace sdlc::serve

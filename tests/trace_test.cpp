@@ -189,8 +189,8 @@ TEST(SpansWireTest, RoundTripsEveryField) {
     spans[0].parent_id = 0x9;
     spans[0].start_s = -0.25;  // synthetic pre-pickup spans sit before the epoch
     spans[0].dur_s = 0.5;
-    spans[1].name = "cache_put";
-    spans[1].tier = "cache";
+    spans[1].name = "synthesize";
+    spans[1].tier = "serve";
     spans[1].span_id = 0xffffffffffffffffULL;
     spans[1].parent_id = 0;
     spans[1].start_s = 1.5;

@@ -79,15 +79,6 @@ using namespace sdlc;
         "    --exhaustive-budget-ms B  per-point budget for the auto cutoff\n"
         "                         resolution (default 2000)\n"
         "    --no-hw-cache        disable the content-keyed synthesis cache\n"
-        "    --cache-peers LIST   comma list of cache_tool daemons sharing the\n"
-        "                         synthesis cache (unix:PATH or HOST:PORT each);\n"
-        "                         peer failures degrade to local synthesis and\n"
-        "                         never change results\n"
-        "    --cache-timeout-ms N per-operation budget against a cache peer\n"
-        "                         (default 250)\n"
-        "    --cache-replicas N   store each key on N distinct peers; gets fall\n"
-        "                         through primary -> replicas -> local synthesis\n"
-        "                         (default 1 = no replication)\n"
         "    --repeat K           evaluate the sweep K times (warm-cache runs);\n"
         "                         exits 1 unless all runs are bit-identical\n"
         "  cluster (shard the sweep across serve_tool replicas; the merged\n"
@@ -113,7 +104,7 @@ using namespace sdlc;
         "    --csv FILE  --json FILE\n"
         "  observability:\n"
         "    --trace-out FILE     record per-stage spans (client tier plus any\n"
-        "                         cluster workers and cache peers) and write a\n"
+        "                         cluster workers) and write a\n"
         "                         Chrome trace-event JSON loadable in Perfetto;\n"
         "                         never changes sweep results or exports\n";
     std::exit(msg.empty() ? 0 : 2);
@@ -130,8 +121,7 @@ public:
             "--exhaustive-max-width",  "--exhaustive-budget-ms",     "--top",
             "--by",       "--max-nmed",
             "--max-mred", "--max-area", "--max-power", "--max-delay", "--csv",
-            "--json",     "--repeat",   "--objectives", "--cache-peers",
-            "--cache-timeout-ms",       "--cache-replicas", "--workers",
+            "--json",     "--repeat",   "--objectives", "--workers",
             "--shards",   "--shard-timeout-ms",           "--shard-retries",
             "--shard-backoff-ms",       "--trace-out"};
         for (int i = 1; i < argc; ++i) {
@@ -270,29 +260,6 @@ bool sweeps_identical(const std::vector<DesignPoint>& a, const std::vector<Desig
     return true;
 }
 
-/// Validated remote-cache options from --cache-peers/--cache-timeout-ms;
-/// a malformed peer spec is a usage error before the sweep starts.
-RemoteCacheOptions remote_options_from(const Args& args) {
-    RemoteCacheOptions remote;
-    std::string error;
-    if (!parse_cache_peer_list(args.get("--cache-peers"), remote.peers, &error)) {
-        usage("--cache-peers: " + error);
-    }
-    if (args.has("--cache-peers") && remote.peers.empty()) {
-        usage("--cache-peers: empty peer list");
-    }
-    const int timeout = args.get_int("--cache-timeout-ms", 250);
-    if (timeout < 1) usage("--cache-timeout-ms must be >= 1");
-    remote.timeout_ms = timeout;
-    const int replicas = args.get_int("--cache-replicas", 1);
-    if (replicas < 1) usage("--cache-replicas must be >= 1");
-    if (!args.has("--cache-peers") && args.has("--cache-replicas")) {
-        usage("--cache-replicas requires --cache-peers");
-    }
-    remote.replicas = static_cast<unsigned>(replicas);
-    return remote;
-}
-
 /// Validated cluster fan-out options from --workers and friends; empty
 /// workers means local evaluation. Shard knobs without --workers are a
 /// usage error — they would silently do nothing.
@@ -370,18 +337,7 @@ int main(int argc, char** argv) {
 
         // One cache shared across --repeat runs: run 1 is cold, the rest warm.
         CostCache cache;
-        const RemoteCacheOptions remote_opts = remote_options_from(args);
-        if (!remote_opts.peers.empty() && !opts.use_hw_cache) {
-            usage("--cache-peers requires the hardware cache (drop --no-hw-cache)");
-        }
-        std::unique_ptr<RemoteCostCache> remote;
-        if (!remote_opts.peers.empty()) {
-            remote = std::make_unique<RemoteCostCache>(cache, remote_opts);
-        }
-        if (opts.use_hw_cache) {
-            opts.hw_cache = remote != nullptr ? static_cast<SynthesisCache*>(remote.get())
-                                              : &cache;
-        }
+        if (opts.use_hw_cache) opts.hw_cache = &cache;
 
         const cluster::ClusterOptions cluster = cluster_options_from(args);
         const bool clustered = !cluster.workers.empty();
@@ -490,21 +446,10 @@ int main(int argc, char** argv) {
         std::cout << "error engines: " << stats.engines.sliced << " sliced, "
                   << stats.engines.scalar << " scalar, " << stats.engines.sampled
                   << " sampled — cutoff " << stats.cutoff_desc << "\n";
-        if (remote != nullptr) {
-            // Totals across every run; scheduling-dependent, so this line
-            // is observability only (like "sweep time:") and is never part
-            // of any byte-compared output.
-            const RemoteCacheCounters rc = remote->remote_counters();
-            std::cout << "remote cache: " << remote->peer_count() << " peer"
-                      << (remote->peer_count() == 1 ? "" : "s") << " — " << rc.hits
-                      << " hits, " << rc.misses << " misses, " << rc.errors << " errors, "
-                      << rc.timeouts << " timeouts, " << rc.puts << " puts, "
-                      << rc.replica_hits << " replica hits, " << rc.read_repairs
-                      << " repairs\n";
-        }
         if (clustered) {
-            // Totals across every run; like the remote-cache line this is
-            // observability only and never part of byte-compared output.
+            // Totals across every run; scheduling-dependent, so like "sweep
+            // time:" this is observability only and never part of
+            // byte-compared output.
             uint64_t dispatched = 0;
             uint64_t completed = 0;
             uint64_t retried = 0;
