@@ -169,7 +169,10 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
         }
     }
 
-    const std::vector<IndexRange> plan = plan_shards(lo, hi, opts.shards);
+    // Cut on function-group boundaries: a function never spans two
+    // replicas, so each evaluates every function it holds exactly once.
+    const std::vector<IndexRange> plan =
+        plan_group_shards(function_group_bounds(configs, lo, hi), opts.shards);
 
     serve::ClusterCounters run_counters;
     run_counters.enabled = true;
@@ -482,6 +485,7 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
         fallback_pool.emplace(eval.threads);
         pool = &*fallback_pool;
     }
+    size_t local_error_evals = 0;
     for (const size_t shard_index : d.local) {
         EvalOptions local = eval;
         local.pool = pool;
@@ -491,7 +495,9 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
             merger.add(index, point);
         };
         try {
-            (void)evaluate_sweep(spec, local, nullptr);
+            SweepStats local_stats;
+            (void)evaluate_sweep(spec, local, &local_stats);
+            local_error_evals += local_stats.error_evals;
         } catch (...) {
             publish_counters();
             throw;
@@ -512,6 +518,7 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
     if (stats != nullptr) {
         *stats = SweepStats{};
         stats->points = hi - lo;
+        stats->error_evals = local_error_evals;
         stats->hw_cache_enabled = eval.use_hw_cache;
         // Engine tallies are a pure replay of select_error_engine over the
         // shard range with the wire-level options, so the coordinator's

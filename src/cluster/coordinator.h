@@ -1,8 +1,9 @@
 // Cluster sweep coordinator: shards a SweepSpec's enumeration across serve
 // replicas and merges the per-point streams back into enumeration order.
 //
-// The coordinator cuts the index space into a *fixed* number of shards
-// (shard_plan.h) — independent of how many workers are alive — and fans
+// The coordinator cuts the index space into at most a *fixed* number of
+// shards (shard_plan.h), never splitting a function's scheme siblings —
+// independent of how many workers are alive — and fans
 // them out to peer replicas as ordinary NDJSON sweep requests restricted
 // by {"shard": {lo, hi}} with "point_bits" set, so every point comes back
 // bit-exact. A ShardMerger re-serializes completed points into the global
@@ -38,9 +39,11 @@ namespace sdlc::cluster {
 /// entry.
 struct ClusterOptions {
     std::vector<std::string> workers;
-    /// Fixed shard count per sweep. The cut depends only on this and the
-    /// sweep's size, never on worker count or timing, so retries re-run
-    /// exactly the same indices.
+    /// At most this many shards per sweep, never splitting a function:
+    /// the sweep's function groups are cut into min(shards, groups)
+    /// shards. The cut depends only on this and the sweep's enumeration,
+    /// never on worker count or timing, so retries re-run exactly the same
+    /// indices.
     size_t shards = 32;
     /// Remote re-dispatches allowed per shard after its first failure
     /// before the coordinator executes it locally.

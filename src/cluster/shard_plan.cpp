@@ -24,4 +24,12 @@ std::vector<IndexRange> plan_shards(size_t lo, size_t hi, size_t shard_count) {
     return plan;
 }
 
+std::vector<IndexRange> plan_group_shards(const std::vector<size_t>& bounds,
+                                          size_t shard_count) {
+    const size_t groups = bounds.empty() ? 0 : bounds.size() - 1;
+    std::vector<IndexRange> plan = plan_shards(0, groups, shard_count);
+    for (IndexRange& r : plan) r = IndexRange{bounds[r.lo], bounds[r.hi]};
+    return plan;
+}
+
 }  // namespace sdlc::cluster

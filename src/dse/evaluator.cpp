@@ -1,5 +1,6 @@
 #include "dse/evaluator.h"
 
+#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <optional>
@@ -21,14 +22,16 @@ namespace sdlc {
 
 namespace {
 
-/// Folds the configuration into the base seed so every point gets its own
-/// reproducible random stream, independent of evaluation order.
-uint64_t point_seed(uint64_t base, const MultiplierConfig& c) {
+/// Folds the configuration's function (width, depth, variant) into the base
+/// seed so every function gets its own reproducible random stream,
+/// independent of evaluation order. The scheme stays out: scheme siblings
+/// compute the same function, so they draw the same samples and report
+/// bit-equal metrics.
+uint64_t function_seed(uint64_t base, const MultiplierConfig& c) {
     SplitMix64 sm(base);
     uint64_t s = sm.next() ^ (static_cast<uint64_t>(c.width) << 40);
     s ^= static_cast<uint64_t>(c.depth) << 24;
     s ^= static_cast<uint64_t>(static_cast<int>(c.variant)) << 16;
-    s ^= static_cast<uint64_t>(static_cast<int>(c.scheme));
     return SplitMix64(s).next();
 }
 
@@ -148,74 +151,97 @@ std::string DesignPoint::describe() const {
     return ApproxMultiplier(config).describe();
 }
 
+bool same_function(const MultiplierConfig& a, const MultiplierConfig& b) noexcept {
+    return a.width == b.width && a.variant == b.variant &&
+           (a.variant == MultiplierVariant::kAccurate || a.depth == b.depth);
+}
+
+std::vector<size_t> function_group_bounds(const std::vector<MultiplierConfig>& configs,
+                                          size_t lo, size_t hi) {
+    std::vector<size_t> bounds;
+    if (lo >= hi) return bounds;
+    bounds.push_back(lo);
+    for (size_t i = lo + 1; i < hi; ++i) {
+        if (!same_function(configs[i - 1], configs[i])) bounds.push_back(i);
+    }
+    bounds.push_back(hi);
+    return bounds;
+}
+
 namespace {
 
-/// Shared implementation: evaluates one point, optionally reporting the
-/// hardware content key (0 when no hardware was evaluated) so the sweep
-/// can derive deterministic cache statistics. `shard_pool` (may be null)
-/// spreads the exhaustive shard grid over existing workers — evaluate_sweep
-/// passes its pool only for single-point sweeps, where the point runs
-/// inline on the caller and the pool would otherwise sit idle.
-DesignPoint evaluate_point_impl(const MultiplierConfig& config, const EvalOptions& opts,
-                                uint64_t* hw_key, ThreadPool* shard_pool) {
-    DesignPoint point;
-    point.config = config;
-    switch (select_error_engine(config, opts)) {
+/// Error metrics of one configuration's function, recorded as an
+/// `error_eval` span (args: engine, pairs) under the thread's trace binding.
+/// `shard_pool` (may be null) spreads the exhaustive shard grid over
+/// existing workers; the grid is fixed, so the result is identical for
+/// every pool size.
+ErrorMetrics evaluate_error(const MultiplierConfig& config, const EvalOptions& opts,
+                            ThreadPool* shard_pool) {
+    const ErrorEngine engine = select_error_engine(config, opts);
+    const obs::TraceBinding& tb = obs::current_binding();
+    obs::ScopedSpan span(tb.recorder, tb.ctx, "error_eval");
+    ErrorMetrics error;
+    switch (engine) {
         case ErrorEngine::kExhaustiveSliced: {
             // 64 products per bitwise op; bit-identical to the scalar
             // engine below (enforced by exhaustive tests).
             const SlicedMultiplyKernel kernel(config);
-            point.error = exhaustive_metrics_sliced(kernel, /*max_threads=*/0, shard_pool);
+            error = exhaustive_metrics_sliced(kernel, /*max_threads=*/0, shard_pool);
             break;
         }
         case ErrorEngine::kExhaustiveScalar: {
             // The kernel replaces the ApproxMultiplier software model on
             // the error path: bit-identical results, but the inner loop is
             // a bit-trick or a precomputed strength-reduced plan instead of
-            // the ClusterPlan interpreter. The shard grid is fixed, so the
-            // result is identical for every shard_pool size.
+            // the ClusterPlan interpreter.
             const MultiplyKernel kernel(config);
-            point.error = exhaustive_metrics(
+            error = exhaustive_metrics(
                 config.width, [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); },
                 /*max_threads=*/0, shard_pool);
             break;
         }
         case ErrorEngine::kSampled: {
             const MultiplyKernel kernel(config);
-            point.error = sampled_distribution_metrics(
-                config.width, opts.samples, point_seed(opts.seed, config), opts.distribution,
+            error = sampled_distribution_metrics(
+                config.width, opts.samples, function_seed(opts.seed, config), opts.distribution,
                 [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); });
             break;
         }
     }
+    span.arg("engine", error_engine_name(engine));
+    span.arg("pairs", error.samples);
+    return error;
+}
+
+/// Hardware cost of one configuration (a default report when hardware
+/// evaluation is off), synthesized through `cache` when non-null. Reports
+/// the content key through `hw_key` (0 when no cache lookup happened) so
+/// the sweep can derive deterministic cache statistics.
+SynthesisReport evaluate_hardware(const MultiplierConfig& config, const EvalOptions& opts,
+                                  CostCache* cache, uint64_t* hw_key) {
     if (hw_key != nullptr) *hw_key = 0;
-    if (opts.evaluate_hardware) {
-        const Netlist net = ApproxMultiplier(config).build_netlist().net;
-        if (opts.hw_cache != nullptr) {
-            point.hw = opts.hw_cache->get_or_synthesize(net, opts.library, opts.synthesis);
-            if (hw_key != nullptr) {
-                *hw_key = CostCache::content_key(net, opts.library, opts.synthesis);
-            }
-        } else {
-            const obs::TraceBinding& tb = obs::current_binding();
-            obs::ScopedSpan span(tb.recorder, tb.ctx, "synthesize");
-            point.hw = synthesize(net, opts.library, opts.synthesis);
-        }
+    if (!opts.evaluate_hardware) return {};
+    const Netlist net = ApproxMultiplier(config).build_netlist().net;
+    if (cache == nullptr) {
+        const obs::TraceBinding& tb = obs::current_binding();
+        obs::ScopedSpan span(tb.recorder, tb.ctx, "synthesize");
+        return synthesize(net, opts.library, opts.synthesis);
     }
-    return point;
+    if (hw_key != nullptr) *hw_key = CostCache::content_key(net, opts.library, opts.synthesis);
+    return cache->get_or_synthesize(net, opts.library, opts.synthesis);
 }
 
 }  // namespace
 
 DesignPoint evaluate_point(const MultiplierConfig& config, const EvalOptions& opts) {
-    if (!opts.use_hw_cache && opts.hw_cache != nullptr) {
-        // use_hw_cache=false wins over a provided cache, matching
-        // evaluate_sweep (the documented --no-hw-cache escape hatch).
-        EvalOptions uncached = opts;
-        uncached.hw_cache = nullptr;
-        return evaluate_point_impl(config, uncached, nullptr, nullptr);
-    }
-    return evaluate_point_impl(config, opts, nullptr, nullptr);
+    DesignPoint point;
+    point.config = config;
+    point.error = evaluate_error(config, opts, nullptr);
+    // use_hw_cache=false wins over a provided cache, matching evaluate_sweep
+    // (the documented --no-hw-cache escape hatch).
+    point.hw = evaluate_hardware(config, opts, opts.use_hw_cache ? opts.hw_cache : nullptr,
+                                 nullptr);
+    return point;
 }
 
 std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions& opts,
@@ -262,12 +288,18 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
         local_pool.emplace(opts.threads);
         pool = &*local_pool;
     }
-    // A one-point sweep runs inline on the caller (parallel_for's n == 1
+
+    // One task per function group: the scheme siblings of one function are
+    // a contiguous run (enumerate() puts the scheme innermost), so the task
+    // evaluates the error once and copies it to every sibling.
+    const std::vector<size_t> bounds = function_group_bounds(configs, 0, configs.size());
+    const size_t groups = bounds.empty() ? 0 : bounds.size() - 1;
+    // A one-group sweep runs inline on the caller (parallel_for's n == 1
     // fast path), leaving the pool idle — hand it to the exhaustive engine
-    // so the shard grid parallelizes instead. With more points the pool is
-    // busy with points; an inner parallel_for from a pool worker would
+    // so the shard grid parallelizes instead. With more groups the pool is
+    // busy with groups; an inner parallel_for from a pool worker would
     // deadlock, so the engine then runs its shards inline.
-    ThreadPool* shard_pool = configs.size() == 1 ? pool : nullptr;
+    ThreadPool* shard_pool = groups == 1 ? pool : nullptr;
 
     // Ordered streaming: a worker finishing point i marks it ready, then
     // drains the contiguous ready prefix. Exactly one worker holds the
@@ -279,22 +311,33 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
 
     const bool has_deadline = opts.deadline != std::chrono::steady_clock::time_point{};
     std::vector<uint64_t> hw_keys(configs.size(), 0);
-    parallel_for(*pool, configs.size(), [&](size_t i) {
-        if (opts.cancel != nullptr && opts.cancel->load(std::memory_order_relaxed)) {
-            throw SweepCancelled();
-        }
-        if (has_deadline && std::chrono::steady_clock::now() >= opts.deadline) {
-            throw SweepDeadlineExceeded();
-        }
-        obs::ScopedSpan eval_span(opts.recorder, opts.trace, "kernel_eval");
-        obs::ScopedBinding binding(opts.recorder, eval_span.context());
-        points[i] = evaluate_point_impl(configs[i], point_opts, &hw_keys[i], shard_pool);
-        if (opts.on_point) {
-            std::lock_guard<std::mutex> lock(emit_mutex);
-            ready[i] = 1;
-            while (next_emit < ready.size() && ready[next_emit] != 0) {
-                opts.on_point(base + next_emit, points[next_emit]);
-                ++next_emit;
+    std::atomic<size_t> error_evals{0};
+    parallel_for(*pool, groups, [&](size_t g) {
+        ErrorMetrics error;
+        for (size_t i = bounds[g]; i < bounds[g + 1]; ++i) {
+            if (opts.cancel != nullptr && opts.cancel->load(std::memory_order_relaxed)) {
+                throw SweepCancelled();
+            }
+            if (has_deadline && std::chrono::steady_clock::now() >= opts.deadline) {
+                throw SweepDeadlineExceeded();
+            }
+            obs::ScopedSpan eval_span(opts.recorder, opts.trace, "kernel_eval");
+            obs::ScopedBinding binding(opts.recorder, eval_span.context());
+            if (i == bounds[g]) {
+                error = evaluate_error(configs[i], point_opts, shard_pool);
+                error_evals.fetch_add(1, std::memory_order_relaxed);
+            }
+            points[i].config = configs[i];
+            points[i].error = error;
+            points[i].hw =
+                evaluate_hardware(configs[i], point_opts, point_opts.hw_cache, &hw_keys[i]);
+            if (opts.on_point) {
+                std::lock_guard<std::mutex> lock(emit_mutex);
+                ready[i] = 1;
+                while (next_emit < ready.size() && ready[next_emit] != 0) {
+                    opts.on_point(base + next_emit, points[next_emit]);
+                    ++next_emit;
+                }
             }
         }
     });
@@ -302,6 +345,7 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
     if (stats != nullptr) {
         *stats = SweepStats{};
         stats->points = points.size();
+        stats->error_evals = error_evals.load();
         stats->hw_cache_enabled = point_opts.hw_cache != nullptr;
         stats->engines = tally_error_engines(configs, point_opts);
         stats->cutoff_desc = describe_exhaustive_cutoffs(point_opts);

@@ -3,10 +3,13 @@
 // For each MultiplierConfig the evaluator computes error metrics with the
 // bit-exact software model (exhaustive up to a width threshold, seeded
 // Monte-Carlo above it) and hardware cost by generating the netlist and
-// running the virtual-synthesis flow (optimize -> STA -> power). Points are
-// distributed over a ThreadPool; every per-point computation is seeded from
-// the configuration itself, so results are bit-identical regardless of the
-// thread count or scheduling order.
+// running the virtual-synthesis flow (optimize -> STA -> power). Error
+// metrics depend only on the multiplier's function (width, variant, cluster
+// depth), not on the accumulation scheme, so a sweep evaluates each
+// function once and copies the result to its scheme siblings. Function
+// groups are distributed over a ThreadPool; sampling is seeded per
+// function, so results are bit-identical regardless of the thread count or
+// scheduling order.
 //
 // Error evaluation dispatches through core/kernels.h (stateless bit-trick
 // kernels where available, the strength-reduced planned path otherwise),
@@ -69,7 +72,7 @@ struct EvalOptions {
     int exhaustive_width_fast2 = 0;
     int exhaustive_width_planned = 0;
     int exhaustive_width_sliced = 0;
-    uint64_t seed = 0x5d1c5eed;     ///< base seed; per-point seeds derive from it
+    uint64_t seed = 0x5d1c5eed;     ///< base seed; per-function seeds derive from it
     OperandDistribution distribution = OperandDistribution::kUniform;
     bool evaluate_hardware = true;  ///< synthesize netlists for cost metrics
     SynthesisOptions synthesis;     ///< virtual-synthesis knobs
@@ -119,10 +122,12 @@ struct EvalOptions {
     size_t shard_hi = 0;
     /// Optional tracing (see obs/trace.h): with a non-null recorder and a
     /// valid trace context, evaluate_sweep records `enumerate` and
-    /// per-point `kernel_eval` spans under `trace`, and binds the context
-    /// on each eval worker so the synthesis cache records its
-    /// lookup/synthesize spans for the right request. Untraced sweeps pay
-    /// one branch per point; results are bit-identical either way.
+    /// per-point `kernel_eval` spans under `trace`, plus one `error_eval`
+    /// span (args: engine, pairs) per function evaluation under the first
+    /// `kernel_eval` of its group. It binds the context on each eval worker
+    /// so the synthesis cache records its lookup/synthesize spans for the
+    /// right request. Untraced sweeps pay one branch per point; results are
+    /// bit-identical either way.
     obs::SpanRecorder* recorder = nullptr;
     obs::TraceContext trace;
 };
@@ -193,8 +198,13 @@ struct SweepStats {
     bool hw_cache_enabled = false;  ///< cache active for this sweep
     uint64_t hw_cache_hits = 0;     ///< points served from the cache
     uint64_t hw_cache_misses = 0;   ///< points that ran the synthesis flow
-    /// Which error engine evaluated how many points, and the cutoff policy
-    /// that decided it. Pure replay of select_error_engine over the sweep's
+    /// Error evaluations this process actually ran: one per function group
+    /// (scheme siblings share one). Counted as the sweep evaluates, not
+    /// replayed; a distributed sweep counts only its local fallback shards.
+    size_t error_evals = 0;
+    /// How many *points* each error engine's result covers, and the cutoff
+    /// policy that decided it — not how many evaluations ran (see
+    /// error_evals). Pure replay of select_error_engine over the sweep's
     /// configs (deterministic; safe for the JSON export summary).
     ErrorEngineTally engines;
     std::string cutoff_desc;
@@ -232,15 +242,34 @@ struct DesignPoint {
     [[nodiscard]] std::string describe() const;
 };
 
+/// True when two configurations compute the same multiplier function: same
+/// width and variant, and the same cluster depth unless the variant is
+/// accurate. The accumulation scheme only changes the adder tree, so such
+/// configurations have bit-equal error metrics.
+[[nodiscard]] bool same_function(const MultiplierConfig& a, const MultiplierConfig& b) noexcept;
+
+/// Function-group boundaries of configs[lo, hi): ascending indices
+/// lo = b[0] < b[1] < ... < b[k] = hi, where each [b[j], b[j+1]) is a
+/// maximal run of configurations computing the same function. In
+/// SweepSpec::enumerate() order a run is one function's scheme siblings (a
+/// range that cuts a run keeps the cut part as its own group). Empty when
+/// lo >= hi.
+[[nodiscard]] std::vector<size_t> function_group_bounds(
+    const std::vector<MultiplierConfig>& configs, size_t lo, size_t hi);
+
 /// Evaluates one configuration (single-threaded; deterministic for a given
-/// EvalOptions regardless of the caller's threading).
+/// EvalOptions regardless of the caller's threading, and bit-equal to the
+/// same point of any evaluate_sweep).
 [[nodiscard]] DesignPoint evaluate_point(const MultiplierConfig& config,
                                          const EvalOptions& opts = {});
 
-/// Evaluates every point of the sweep in parallel. The result order matches
+/// Evaluates every point of the sweep in parallel, one task per function
+/// group: the group's error is evaluated once, then each sibling is
+/// synthesized and emitted in enumeration order. The result order matches
 /// SweepSpec::enumerate() and the values are bit-identical for any
 /// opts.threads (and for the hardware cache on or off). When `stats` is
-/// non-null it receives the sweep's wall time and cache counters.
+/// non-null it receives the sweep's wall time, cache counters and
+/// evaluation count.
 [[nodiscard]] std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec,
                                                       const EvalOptions& opts = {},
                                                       SweepStats* stats = nullptr);

@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <iterator>
 #include <thread>
@@ -48,6 +49,16 @@ std::string hex_digits(uint64_t v, int digits) {
 }
 
 thread_local TraceBinding g_binding;
+
+/// `"k": v, ...` for a span's args (values are already rendered JSON).
+std::string args_members(const std::vector<std::pair<std::string, std::string>>& args) {
+    std::string out;
+    for (size_t i = 0; i < args.size(); ++i) {
+        if (i != 0) out += ", ";
+        out += json_string(args[i].first) + ": " + args[i].second;
+    }
+    return out;
+}
 
 }  // namespace
 
@@ -118,6 +129,14 @@ ScopedSpan::ScopedSpan(SpanRecorder* recorder, const TraceContext& ctx, const ch
     start_s_ = recorder->now();
 }
 
+void ScopedSpan::arg(const char* key, const char* value) {
+    if (recorder_ != nullptr) args_.emplace_back(key, json_string(value));
+}
+
+void ScopedSpan::arg(const char* key, uint64_t value) {
+    if (recorder_ != nullptr) args_.emplace_back(key, std::to_string(value));
+}
+
 void ScopedSpan::stop() {
     if (recorder_ == nullptr) return;
     Span span;
@@ -126,6 +145,7 @@ void ScopedSpan::stop() {
     span.parent_id = parent_id_;
     span.start_s = start_s_;
     span.dur_s = recorder_->now() - start_s_;
+    span.args = std::move(args_);
     recorder_->record(std::move(span));
     recorder_ = nullptr;
 }
@@ -150,7 +170,9 @@ std::string spans_wire_json(const std::vector<Span>& spans) {
         out += ", \"id\": \"" + span_id_hex(s.span_id) + "\"";
         out += ", \"parent\": \"" + span_id_hex(s.parent_id) + "\"";
         out += ", \"start\": " + json_number(s.start_s);
-        out += ", \"dur\": " + json_number(s.dur_s) + "}";
+        out += ", \"dur\": " + json_number(s.dur_s);
+        if (!s.args.empty()) out += ", \"args\": {" + args_members(s.args) + "}";
+        out += "}";
     }
     out += "]";
     return out;
@@ -185,6 +207,20 @@ bool parse_spans_wire(const JsonValue& array, std::vector<Span>& out, std::strin
             return fail("span.start must be a number");
         }
         if (dur == nullptr || !dur->is_number()) return fail("span.dur must be a number");
+        if (const JsonValue* args = entry.find("args")) {
+            if (!args->is_object()) return fail("span.args must be an object");
+            for (const auto& [key, value] : args->object) {
+                if (value.is_string()) {
+                    span.args.emplace_back(key, json_string(value.string));
+                } else if (value.is_number() && value.number >= 0 &&
+                           value.number <= 0x1p53 && std::trunc(value.number) == value.number) {
+                    span.args.emplace_back(key,
+                                           std::to_string(static_cast<uint64_t>(value.number)));
+                } else {
+                    return fail("span.args values must be strings or non-negative integers");
+                }
+            }
+        }
         span.name = name->string;
         span.tier = tier->string;
         span.start_s = start->number;
@@ -251,7 +287,9 @@ std::string chrome_trace_json(const std::vector<TraceTree>& trees) {
             out += ", \"args\": {\"trace_id\": \"" + trace_id + "\"";
             out += ", \"request\": " + json_string(tree.request_id);
             out += ", \"span_id\": \"" + span_id_hex(span.span_id) + "\"";
-            out += ", \"parent\": \"" + span_id_hex(span.parent_id) + "\"}}";
+            out += ", \"parent\": \"" + span_id_hex(span.parent_id) + "\"";
+            if (!span.args.empty()) out += ", " + args_members(span.args);
+            out += "}}";
         }
     }
     out += "], \"displayTimeUnit\": \"ms\"}\n";

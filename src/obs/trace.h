@@ -26,6 +26,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace sdlc {
@@ -63,6 +64,9 @@ struct Span {
     uint64_t parent_id = 0;
     double start_s = 0.0;
     double dur_s = 0.0;
+    /// Extra key/value annotations, values as rendered JSON (a string or a
+    /// non-negative integer), e.g. {"engine", "\"sliced\""}.
+    std::vector<std::pair<std::string, std::string>> args;
 };
 
 /// Collects spans from many threads with sharded locks so eval-pool workers
@@ -125,6 +129,10 @@ public:
 
     [[nodiscard]] bool active() const noexcept { return recorder_ != nullptr; }
 
+    /// Annotates the span with a string or integer arg (no-op when inert).
+    void arg(const char* key, const char* value);
+    void arg(const char* key, uint64_t value);
+
     /// Context for children of this span (same trace, parent = this span).
     [[nodiscard]] TraceContext context() const noexcept { return ctx_; }
 
@@ -134,6 +142,7 @@ private:
     TraceContext ctx_{};
     uint64_t parent_id_ = 0;
     double start_s_ = 0.0;
+    std::vector<std::pair<std::string, std::string>> args_;
 };
 
 /// Thread-local trace binding: lets shared components (CostCache) record
@@ -162,7 +171,8 @@ private:
 
 /// Serializes spans for the observability side-channel of a response line:
 /// `[{"name": ..., "tier": ..., "id": ..., "parent": ..., "start": ...,
-/// "dur": ...}, ...]`. Deterministic given the span list.
+/// "dur": ...}, ...]`, plus `"args": {...}` on spans that carry args.
+/// Deterministic given the span list.
 [[nodiscard]] std::string spans_wire_json(const std::vector<Span>& spans);
 
 /// Strict inverse of spans_wire_json over an already-parsed JSON array.
@@ -195,8 +205,9 @@ private:
 };
 
 /// Renders trees as Chrome trace-event JSON (Perfetto / chrome://tracing
-/// loadable): one "X" duration event per span, pid per tier with
-/// process_name metadata, timestamps in microseconds. Deterministic given
+/// loadable): one "X" duration event per span (span args appended to the
+/// event's args), pid per tier with process_name metadata, timestamps in
+/// microseconds. Deterministic given
 /// the tree list.
 [[nodiscard]] std::string chrome_trace_json(const std::vector<TraceTree>& trees);
 

@@ -71,6 +71,38 @@ TEST(ShardPlanTest, RejectsBadArguments) {
     EXPECT_THROW(plan_shards(0, 10, 0), std::invalid_argument);
 }
 
+TEST(ShardPlanTest, GroupPlanNeverSplitsAFunction) {
+    const std::vector<MultiplierConfig> configs = SweepSpec::for_width(12).enumerate();
+    const std::vector<size_t> bounds = function_group_bounds(configs, 0, configs.size());
+    ASSERT_EQ(bounds.size(), 24u);  // 23 functions: accurate, sdlc and compensated d2..12
+    for (const size_t shards : {size_t{1}, size_t{5}, size_t{23}, size_t{32}}) {
+        SCOPED_TRACE(shards);
+        const std::vector<IndexRange> plan = plan_group_shards(bounds, shards);
+        EXPECT_EQ(plan.size(), std::min<size_t>(shards, 23));
+        size_t cursor = 0;
+        for (const IndexRange& r : plan) {
+            EXPECT_EQ(r.lo, cursor);
+            EXPECT_LT(r.lo, r.hi);
+            // A range ends on a function boundary: the next point (if any)
+            // computes a different function.
+            EXPECT_TRUE(r.hi == configs.size() ||
+                        !same_function(configs[r.hi - 1], configs[r.hi]));
+            cursor = r.hi;
+        }
+        EXPECT_EQ(cursor, configs.size());
+    }
+    // A sub-range that cuts groups: its cut parts count as groups.
+    const std::vector<IndexRange> cut =
+        plan_group_shards(function_group_bounds(configs, 2, 11), 2);  // groups {2,4,8,11}
+    ASSERT_EQ(cut.size(), 2u);
+    EXPECT_EQ(cut[0].lo, 2u);
+    EXPECT_EQ(cut[0].hi, 8u);
+    EXPECT_EQ(cut[1].lo, 8u);
+    EXPECT_EQ(cut[1].hi, 11u);
+    EXPECT_TRUE(plan_group_shards({}, 4).empty());
+    EXPECT_THROW((void)plan_group_shards(bounds, 0), std::invalid_argument);
+}
+
 // ----------------------------------------------------------- shard merge ----
 
 DesignPoint marked_point(size_t i) {
@@ -490,6 +522,43 @@ TEST(DistributedSweepTest, ExportsMatchLocalAboveTheFixedCutoff) {
         EXPECT_TRUE(points_identical(local, merged));
         EXPECT_EQ(export_of(local, local_stats), export_of(merged, dist_stats));
     }
+}
+
+TEST(DistributedSweepTest, GroupAlignedShardsMatchLocalAtWidth12) {
+    Worker w1;
+    Worker w2;
+    const SweepSpec spec = SweepSpec::for_width(12);
+    EvalOptions eval;
+    eval.threads = 2;
+    eval.samples = 4096;
+    SweepStats local_stats;
+    const std::vector<DesignPoint> local = evaluate_sweep(spec, eval, &local_stats);
+    ClusterOptions cluster;
+    cluster.workers = {w1.spec(), w2.spec()};
+    for (const size_t shards : {size_t{32}, size_t{5}}) {
+        SCOPED_TRACE(shards);
+        cluster.shards = shards;
+        SweepStats dist_stats;
+        serve::ClusterCounters counters;
+        const std::vector<DesignPoint> merged =
+            distributed_sweep(spec, eval, cluster, &dist_stats, &counters);
+        EXPECT_TRUE(points_identical(local, merged));
+        EXPECT_EQ(export_of(local, local_stats), export_of(merged, dist_stats));
+        uint64_t completed = 0;
+        for (const serve::ClusterWorkerCounters& w : counters.workers) completed += w.completed;
+        EXPECT_EQ(completed, std::min<size_t>(shards, 23));  // 23 functions
+    }
+
+    // An outer range that starts and ends inside function groups.
+    eval.shard_lo = 2;
+    eval.shard_hi = 45;
+    SweepStats slice_stats;
+    const std::vector<DesignPoint> slice = evaluate_sweep(spec, eval, &slice_stats);
+    cluster.shards = 5;
+    SweepStats dist_stats;
+    const std::vector<DesignPoint> merged = distributed_sweep(spec, eval, cluster, &dist_stats);
+    EXPECT_TRUE(points_identical(slice, merged));
+    EXPECT_EQ(export_of(slice, slice_stats), export_of(merged, dist_stats));
 }
 
 TEST(DistributedSweepTest, CancelAborts) {

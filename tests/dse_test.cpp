@@ -5,13 +5,16 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <utility>
 
 #include "dse/evaluator.h"
 #include "dse/export.h"
 #include "dse/pareto.h"
 #include "dse/sweep.h"
 #include "dse/thread_pool.h"
+#include "obs/trace.h"
 
 namespace sdlc {
 namespace {
@@ -366,6 +369,135 @@ TEST(Evaluator, DescribeMentionsConfig) {
     }());
     EXPECT_NE(p.describe().find("6x6"), std::string::npos);
     EXPECT_NE(p.describe().find("d3"), std::string::npos);
+}
+
+// ------------------------------------------------ function-group fan-out ----
+
+/// Every sweep point equals its own evaluate_point bit for bit, and every
+/// scheme sibling carries exactly its group's error metrics.
+void expect_matches_point_evaluation(const std::vector<DesignPoint>& points,
+                                     const EvalOptions& opts) {
+    for (size_t i = 0; i < points.size(); ++i) {
+        const DesignPoint single = evaluate_point(points[i].config, opts);
+        EXPECT_TRUE(points[i].error == single.error) << points[i].describe();
+        EXPECT_TRUE(points[i].hw == single.hw) << points[i].describe();
+        if (i > 0 && same_function(points[i - 1].config, points[i].config)) {
+            EXPECT_TRUE(points[i].error == points[i - 1].error) << points[i].describe();
+        }
+    }
+}
+
+TEST(FunctionGroups, BoundsFollowSchemeSiblings) {
+    const std::vector<MultiplierConfig> configs = SweepSpec::for_width(4).enumerate();
+    // accurate + sdlc d2..4 + compensated d2..4, four schemes each.
+    const std::vector<size_t> bounds = function_group_bounds(configs, 0, configs.size());
+    ASSERT_EQ(bounds.size(), 8u);
+    for (size_t g = 0; g + 1 < bounds.size(); ++g) EXPECT_EQ(bounds[g + 1] - bounds[g], 4u);
+    // A range cutting groups keeps each cut part as its own group.
+    EXPECT_EQ(function_group_bounds(configs, 2, 7), (std::vector<size_t>{2, 4, 7}));
+    EXPECT_TRUE(function_group_bounds(configs, 3, 3).empty());
+
+    MultiplierConfig a{8, 1, MultiplierVariant::kAccurate, AccumulationScheme::kRowRipple};
+    MultiplierConfig b{8, 5, MultiplierVariant::kAccurate, AccumulationScheme::kDadda};
+    EXPECT_TRUE(same_function(a, b));  // accurate ignores depth
+    a.variant = b.variant = MultiplierVariant::kSdlc;
+    EXPECT_FALSE(same_function(a, b));
+}
+
+TEST(Evaluator, EachFunctionEvaluatedOnceAboveTheFixedCutoff) {
+    SweepSpec spec = SweepSpec::for_width(12);
+    spec.min_depth = 2;
+    spec.max_depth = 4;
+    EvalOptions opts;
+    apply_auto_exhaustive(opts, spec, 2000.0);
+    opts.threads = 1;
+    SweepStats one_stats;
+    const std::vector<DesignPoint> one = evaluate_sweep(spec, opts, &one_stats);
+    opts.threads = 4;
+    SweepStats four_stats;
+    const std::vector<DesignPoint> four = evaluate_sweep(spec, opts, &four_stats);
+    ASSERT_EQ(four.size(), 28u);
+    expect_identical(one, four);
+    expect_matches_point_evaluation(four, opts);
+    // accurate + sdlc d2..4 + compensated d2..4.
+    EXPECT_EQ(one_stats.error_evals, 7u);
+    EXPECT_EQ(four_stats.error_evals, 7u);
+}
+
+TEST(Evaluator, SampledSchemeSiblingsDrawTheSameSamples) {
+    const SweepSpec spec = SweepSpec::for_width(16);
+    EvalOptions opts;
+    opts.samples = 4096;
+    opts.evaluate_hardware = false;
+    opts.threads = 4;
+    SweepStats stats;
+    const std::vector<DesignPoint> points = evaluate_sweep(spec, opts, &stats);
+    ASSERT_EQ(points.size(), 124u);
+    EXPECT_EQ(stats.engines.sampled, 124u);
+    EXPECT_EQ(stats.error_evals, 31u);
+    expect_matches_point_evaluation(points, opts);
+}
+
+TEST(Evaluator, ShardRangeCuttingFunctionGroupsMatchesFullSweep) {
+    const SweepSpec spec = SweepSpec::for_width(12);
+    EvalOptions opts;
+    opts.samples = 4096;
+    opts.threads = 4;
+    const std::vector<DesignPoint> full = evaluate_sweep(spec, opts);
+    opts.shard_lo = 2;  // mid-way through the accurate group ...
+    opts.shard_hi = 7;  // ... to mid-way through sdlc d2
+    SweepStats stats;
+    const std::vector<DesignPoint> slice = evaluate_sweep(spec, opts, &stats);
+    ASSERT_EQ(slice.size(), 5u);
+    for (size_t i = 0; i < slice.size(); ++i) {
+        EXPECT_TRUE(slice[i].error == full[2 + i].error) << i;
+        EXPECT_TRUE(slice[i].hw == full[2 + i].hw) << i;
+    }
+    EXPECT_EQ(stats.error_evals, 2u);
+}
+
+TEST(Evaluator, OneFunctionSweepIdenticalAcrossThreadCounts) {
+    // One group: the sweep hands its pool to the exhaustive shard grid.
+    SweepSpec spec;
+    spec.widths = {12};
+    spec.variants = {MultiplierVariant::kSdlc};
+    spec.min_depth = 3;
+    spec.max_depth = 3;
+    EvalOptions opts;
+    opts.exhaustive_max_width = 12;
+    opts.threads = 1;
+    SweepStats one_stats;
+    const std::vector<DesignPoint> one = evaluate_sweep(spec, opts, &one_stats);
+    opts.threads = 4;
+    const std::vector<DesignPoint> four = evaluate_sweep(spec, opts);
+    ASSERT_EQ(one.size(), 4u);
+    expect_identical(one, four);
+    for (size_t i = 0; i < four.size(); ++i) EXPECT_TRUE(one[i].error == four[i].error) << i;
+    EXPECT_EQ(one_stats.error_evals, 1u);
+    EXPECT_EQ(one_stats.engines.sliced, 4u);
+}
+
+TEST(Evaluator, TracesOneErrorEvalPerFunction) {
+    obs::SpanRecorder recorder("client", 1);
+    EvalOptions opts;
+    opts.threads = 4;
+    opts.recorder = &recorder;
+    opts.trace.valid = true;
+    (void)evaluate_sweep(SweepSpec::for_width(4), opts);
+    std::set<uint64_t> kernel_spans;
+    std::vector<obs::Span> error_spans;
+    for (obs::Span& span : recorder.take()) {
+        if (span.name == "kernel_eval") kernel_spans.insert(span.span_id);
+        if (span.name == "error_eval") error_spans.push_back(std::move(span));
+    }
+    EXPECT_EQ(kernel_spans.size(), 28u);
+    ASSERT_EQ(error_spans.size(), 7u);  // one per distinct function
+    for (const obs::Span& span : error_spans) {
+        EXPECT_EQ(kernel_spans.count(span.parent_id), 1u);
+        ASSERT_EQ(span.args.size(), 2u);
+        EXPECT_EQ(span.args[0].first, "engine");
+        EXPECT_EQ(span.args[1], (std::pair<std::string, std::string>{"pairs", "256"}));
+    }
 }
 
 // ---------------------------------------------------------------- export ----

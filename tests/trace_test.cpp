@@ -195,6 +195,7 @@ TEST(SpansWireTest, RoundTripsEveryField) {
     spans[1].parent_id = 0;
     spans[1].start_s = 1.5;
     spans[1].dur_s = 0.0;
+    spans[1].args = {{"engine", "\"sliced\""}, {"pairs", "4294967296"}};
 
     const std::vector<Span> back = wire_round_trip(spans);
     ASSERT_EQ(back.size(), spans.size());
@@ -205,8 +206,11 @@ TEST(SpansWireTest, RoundTripsEveryField) {
         EXPECT_EQ(back[i].parent_id, spans[i].parent_id);
         EXPECT_EQ(back[i].start_s, spans[i].start_s);
         EXPECT_EQ(back[i].dur_s, spans[i].dur_s);
+        EXPECT_EQ(back[i].args, spans[i].args);
     }
     EXPECT_TRUE(wire_round_trip({}).empty());
+    // Spans without args keep the arg-free wire form.
+    EXPECT_EQ(spans_wire_json({spans[0]}).find("args"), std::string::npos);
 }
 
 TEST(SpansWireTest, RejectsMalformedEntries) {
@@ -218,6 +222,12 @@ TEST(SpansWireTest, RejectsMalformedEntries) {
         "\"parent\": \"0000000000000000\", \"start\": 0, \"dur\": 0}]",  // bad id
         "[{\"name\": \"a\", \"tier\": \"serve\", \"id\": \"0000000000000001\", "
         "\"parent\": \"0000000000000000\", \"start\": \"0\", \"dur\": 0}]",  // start type
+        "[{\"name\": \"a\", \"tier\": \"serve\", \"id\": \"0000000000000001\", "
+        "\"parent\": \"0000000000000000\", \"start\": 0, \"dur\": 0, "
+        "\"args\": []}]",  // args not an object
+        "[{\"name\": \"a\", \"tier\": \"serve\", \"id\": \"0000000000000001\", "
+        "\"parent\": \"0000000000000000\", \"start\": 0, \"dur\": 0, "
+        "\"args\": {\"pairs\": -1.5}}]",  // arg neither string nor count
     };
     for (const char* wire : bad) {
         JsonValue parsed;

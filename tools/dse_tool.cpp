@@ -445,7 +445,8 @@ int main(int argc, char** argv) {
         }
         std::cout << "error engines: " << stats.engines.sliced << " sliced, "
                   << stats.engines.scalar << " scalar, " << stats.engines.sampled
-                  << " sampled — cutoff " << stats.cutoff_desc << "\n";
+                  << " sampled — cutoff " << stats.cutoff_desc << " — " << stats.error_evals
+                  << (clustered ? " local" : "") << " evaluations\n";
         if (clustered) {
             // Totals across every run; scheduling-dependent, so like "sweep
             // time:" this is observability only and never part of
