@@ -21,6 +21,7 @@
 #ifndef SDLC_CLUSTER_COORDINATOR_H
 #define SDLC_CLUSTER_COORDINATOR_H
 
+#include <array>
 #include <mutex>
 #include <string>
 #include <unordered_set>
@@ -30,7 +31,7 @@
 #include "dse/sweep.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
-#include "util/retry.h"
+#include "util/args.h"
 
 namespace sdlc::cluster {
 
@@ -45,25 +46,28 @@ struct ClusterOptions {
     /// never on worker count or timing, so retries re-run exactly the same
     /// indices.
     size_t shards = 32;
-    /// Remote re-dispatches allowed per shard after its first failure
-    /// before the coordinator executes it locally.
+    /// Remote re-dispatches allowed per shard after its first failure: a
+    /// failed shard goes straight back on the queue, and runs locally once
+    /// shard_retries + 1 remote attempts have failed.
     int shard_retries = 2;
-    /// Backoff before a failed shard is re-dispatched: first-failure base
-    /// of a capped exponential with deterministic jitter (RetryPolicy).
-    /// 0 (the default) requeues immediately — the historical behavior.
-    int shard_backoff_ms = 0;
     /// Read-silence budget per shard stream: a worker that produces no
     /// bytes for this long is treated as dead and its shard requeued.
     /// <= 0 disables the budget (failures are then EOF/error only).
     int shard_timeout_ms = 60000;
     /// Per-worker connect budget.
     int connect_timeout_ms = 2000;
-
-    /// The shard re-dispatch schedule as a RetryPolicy: shard_retries maps
-    /// to the attempt budget (exhausted() == "run it locally"),
-    /// shard_backoff_ms to the delay curve.
-    [[nodiscard]] RetryPolicy shard_policy() const noexcept;
 };
+
+/// The cluster flags dse_tool and serve_tool share: --workers LIST plus the
+/// shard knobs, which require it.
+inline constexpr std::array<const char*, 4> kClusterFlags = {
+    "--workers", "--shards", "--shard-timeout-ms", "--shard-retries"};
+
+/// ClusterOptions from the cluster flags; without --workers the worker list
+/// stays empty (local evaluation). Throws cli::UsageError for a malformed
+/// value, an empty or malformed worker list, zero shards, or a shard knob
+/// given without --workers (it would silently do nothing).
+ClusterOptions cluster_options_from(const cli::Args& args);
 
 /// Runs `spec` distributed over `opts.workers`, honoring `eval`'s cancel /
 /// deadline / on_point / shard range exactly like evaluate_sweep — global

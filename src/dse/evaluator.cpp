@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <mutex>
 #include <optional>
 #include <unordered_set>
 
@@ -12,11 +11,12 @@
 #include "api/approx_multiplier.h"
 #include "core/kernels.h"
 #include "core/kernels_sliced.h"
-#include "dse/thread_pool.h"
+#include "dse/shard_merge.h"
 #include "error/calibrate.h"
 #include "error/evaluate.h"
 #include "error/evaluate_sliced.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace sdlc {
 
@@ -244,27 +244,27 @@ DesignPoint evaluate_point(const MultiplierConfig& config, const EvalOptions& op
     return point;
 }
 
+std::pair<size_t, size_t> sweep_range(const EvalOptions& opts, size_t count) {
+    if (opts.shard_lo == 0 && opts.shard_hi == 0) return {0, count};
+    if (opts.shard_lo >= opts.shard_hi || opts.shard_hi > count) {
+        throw std::invalid_argument("sweep shard range [" + std::to_string(opts.shard_lo) +
+                                    ", " + std::to_string(opts.shard_hi) +
+                                    ") is invalid for " + std::to_string(count) + " points");
+    }
+    return {opts.shard_lo, opts.shard_hi};
+}
+
 std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions& opts,
                                         SweepStats* stats) {
     const auto t0 = std::chrono::steady_clock::now();
     obs::ScopedSpan enumerate_span(opts.recorder, opts.trace, "enumerate");
     std::vector<MultiplierConfig> configs = spec.enumerate();
     enumerate_span.stop();
-    // Shard restriction: keep only [shard_lo, shard_hi), remembering the
-    // offset so on_point still reports global enumeration indices.
-    size_t base = 0;
-    if (opts.shard_lo != 0 || opts.shard_hi != 0) {
-        if (opts.shard_lo >= opts.shard_hi || opts.shard_hi > configs.size()) {
-            throw std::invalid_argument(
-                "sweep shard range [" + std::to_string(opts.shard_lo) + ", " +
-                std::to_string(opts.shard_hi) + ") is invalid for " +
-                std::to_string(configs.size()) + " points");
-        }
-        configs = std::vector<MultiplierConfig>(configs.begin() + opts.shard_lo,
-                                                configs.begin() + opts.shard_hi);
-        base = opts.shard_lo;
-    }
-    std::vector<DesignPoint> points(configs.size());
+    // Shard restriction: keep only [lo, hi); the merger below still reports
+    // global enumeration indices to on_point.
+    const auto [lo, hi] = sweep_range(opts, configs.size());
+    configs = std::vector<MultiplierConfig>(configs.begin() + static_cast<ptrdiff_t>(lo),
+                                            configs.begin() + static_cast<ptrdiff_t>(hi));
 
     // Resolve the cache: caller-provided, sweep-local, or none.
     CostCache local_cache;
@@ -301,13 +301,10 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
     // deadlock, so the engine then runs its shards inline.
     ThreadPool* shard_pool = groups == 1 ? pool : nullptr;
 
-    // Ordered streaming: a worker finishing point i marks it ready, then
-    // drains the contiguous ready prefix. Exactly one worker holds the
-    // emission lock at a time, so on_point sees points strictly in
-    // enumeration order regardless of completion order.
-    std::mutex emit_mutex;
-    size_t next_emit = 0;
-    std::vector<uint8_t> ready(configs.size(), 0);
+    // Ordered streaming: the merger emits the contiguous prefix of finished
+    // points under its lock, so on_point sees them strictly in enumeration
+    // order regardless of completion order.
+    ShardMerger merger(lo, hi, opts.on_point);
 
     const bool has_deadline = opts.deadline != std::chrono::steady_clock::time_point{};
     std::vector<uint64_t> hw_keys(configs.size(), 0);
@@ -327,24 +324,17 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
                 error = evaluate_error(configs[i], point_opts, shard_pool);
                 error_evals.fetch_add(1, std::memory_order_relaxed);
             }
-            points[i].config = configs[i];
-            points[i].error = error;
-            points[i].hw =
-                evaluate_hardware(configs[i], point_opts, point_opts.hw_cache, &hw_keys[i]);
-            if (opts.on_point) {
-                std::lock_guard<std::mutex> lock(emit_mutex);
-                ready[i] = 1;
-                while (next_emit < ready.size() && ready[next_emit] != 0) {
-                    opts.on_point(base + next_emit, points[next_emit]);
-                    ++next_emit;
-                }
-            }
+            DesignPoint point;
+            point.config = configs[i];
+            point.error = error;
+            point.hw = evaluate_hardware(configs[i], point_opts, point_opts.hw_cache, &hw_keys[i]);
+            merger.add(lo + i, point);
         }
     });
 
     if (stats != nullptr) {
         *stats = SweepStats{};
-        stats->points = points.size();
+        stats->points = configs.size();
         stats->error_evals = error_evals.load();
         stats->hw_cache_enabled = point_opts.hw_cache != nullptr;
         stats->engines = tally_error_engines(configs, point_opts);
@@ -364,7 +354,7 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
         stats->wall_seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     }
-    return points;
+    return merger.take();
 }
 
 std::vector<ObjectiveVector> objective_matrix(const std::vector<DesignPoint>& points,

@@ -26,6 +26,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dse/cost_cache.h"
@@ -60,7 +61,8 @@ struct EvalOptions {
     /// Evaluate exhaustive sweeps with the bit-sliced engine whenever the
     /// configuration is planned-path eligible (non-accurate, depth >= 2,
     /// width <= 16). Bit-identical to the scalar engine — this knob changes
-    /// speed only (the `--no-sliced` escape hatch).
+    /// speed only (the `dse_tool --no-sliced` escape hatch; a serve request
+    /// sends "eval": {"sliced": false}).
     bool use_sliced = true;
     /// Per-kernel-path exhaustive cutoff widths, 0 = use
     /// exhaustive_max_width. Set by the auto time-budget resolution
@@ -177,6 +179,10 @@ enum class ErrorEngine {
 /// calibration, then travel with the options.
 void apply_auto_exhaustive(EvalOptions& opts, const SweepSpec& spec, double budget_ms);
 
+/// The per-point budget dse_tool and serve_tool pass to
+/// apply_auto_exhaustive.
+inline constexpr double kAutoExhaustiveBudgetMs = 2000.0;
+
 /// Per-engine point counts for a config list — a pure replay of
 /// select_error_engine, so every replica and the coordinator derive the
 /// same tallies from the same wire-level options.
@@ -273,6 +279,11 @@ struct DesignPoint {
 [[nodiscard]] std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec,
                                                       const EvalOptions& opts = {},
                                                       SweepStats* stats = nullptr);
+
+/// The enumeration range [lo, hi) a sweep of `count` points covers under
+/// opts.shard_lo/shard_hi: the whole sweep when both are zero. Throws
+/// std::invalid_argument for an empty or out-of-bounds range.
+[[nodiscard]] std::pair<size_t, size_t> sweep_range(const EvalOptions& opts, size_t count);
 
 /// Objective vectors of `points`, in order (input to pareto_analysis()).
 /// Every row uses the same objective `set`, so ranks computed from the

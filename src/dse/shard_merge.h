@@ -10,10 +10,10 @@
 // shard re-delivers identical points), and a partial delivery followed by
 // a retry never re-emits or reorders anything.
 //
-// The emission discipline mirrors evaluate_sweep's ordered streaming: the
-// thread whose add() completes the contiguous ready prefix drains it under
-// the internal lock, so the emit callback sees the same serialized,
-// in-order call sequence the evaluator's on_point hook guarantees.
+// The thread whose add() completes the contiguous ready prefix drains it
+// under the internal lock, so the emit callback sees a serialized,
+// in-order call sequence. evaluate_sweep streams its own points through a
+// ShardMerger too, so on_point behaves the same on every path.
 #ifndef SDLC_DSE_SHARD_MERGE_H
 #define SDLC_DSE_SHARD_MERGE_H
 

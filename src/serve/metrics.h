@@ -1,9 +1,10 @@
 // Prometheus text-format (exposition format version 0.0.4) rendering of
 // ServiceStats.
 //
-// The service is scraped through the protocol rather than an HTTP port: a
+// The same text is served two ways: `GET /metrics` on the HTTP front door
+// (serve/http.h), and over the line protocol, where a
 // `{"type": "metrics"}` request answers with a `metrics` event whose
-// `data` field holds exactly this text, and `serve_tool --scrape` decodes
+// `data` field holds exactly this text and `serve_tool --scrape` decodes
 // it back to the raw exposition format for a node-exporter textfile
 // collector or any other pull pipeline. Counters are monotonic since
 // service start; gauges are momentary; the request-latency histogram

@@ -7,6 +7,8 @@
 // and byte-identity above the fixed exhaustive cutoff.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <latch>
@@ -445,6 +447,54 @@ TEST(DistributedSweepTest, DeadWorkerInListRetriesOnSurvivor) {
     EXPECT_EQ(counters.workers.at(0).completed, 6u);
     EXPECT_EQ(counters.workers.at(1).completed, 0u);
     EXPECT_EQ(counters.local_shards, 0u);
+}
+
+/// A worker endpoint that accepts every connection and closes it at once:
+/// each shard dispatched to it fails after the connect.
+struct ClosingEndpoint {
+    serve::TcpSocketServer listener{"127.0.0.1", 0};
+    std::thread loop{[this] {
+        for (int fd; (fd = listener.accept_client()) >= 0;) ::close(fd);
+    }};
+
+    [[nodiscard]] std::string spec() const {
+        return "127.0.0.1:" + std::to_string(listener.port());
+    }
+
+    ~ClosingEndpoint() {
+        listener.close();
+        loop.join();
+    }
+};
+
+TEST(DistributedSweepTest, FailedShardRunsLocallyAfterRetriesPlusOneAttempts) {
+    const SweepSpec spec;
+    EvalOptions eval;
+    eval.threads = 2;
+    const std::vector<DesignPoint> local = evaluate_sweep(spec, eval);
+
+    for (const int retries : {0, 1}) {
+        SCOPED_TRACE("shard_retries = " + std::to_string(retries));
+        // One endpoint more than the attempt budget: the spare one must
+        // never see the shard.
+        std::vector<std::unique_ptr<ClosingEndpoint>> endpoints;
+        ClusterOptions cluster;
+        for (int i = 0; i < retries + 2; ++i) {
+            endpoints.push_back(std::make_unique<ClosingEndpoint>());
+            cluster.workers.push_back(endpoints.back()->spec());
+        }
+        cluster.shards = 1;
+        cluster.shard_retries = retries;
+        serve::ClusterCounters counters;
+        const std::vector<DesignPoint> merged =
+            distributed_sweep(spec, eval, cluster, nullptr, &counters);
+
+        uint64_t dispatched = 0;
+        for (const serve::ClusterWorkerCounters& w : counters.workers) dispatched += w.dispatched;
+        EXPECT_EQ(dispatched, static_cast<uint64_t>(retries + 1));
+        EXPECT_EQ(counters.local_shards, 1u);
+        EXPECT_TRUE(points_identical(local, merged));
+    }
 }
 
 TEST(DistributedSweepTest, DeterministicCacheStatsMatchSingleNode) {

@@ -13,8 +13,8 @@
 #include "dse/export.h"
 #include "dse/pareto.h"
 #include "dse/sweep.h"
-#include "dse/thread_pool.h"
 #include "obs/trace.h"
+#include "util/thread_pool.h"
 
 namespace sdlc {
 namespace {

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# serve_tool --client / dse_tool exit-status contract, end to end over a
-# real server:
+# serve_tool --client / dse_tool / sdlc exit-status contract, end to end
+# over a real server:
 #   0  every request succeeded
 #   1  the server answered an error event / a request failed
 #   2  usage error
 #   3  transport failure (cannot connect, stream dropped early)
-# Usage: serve_client_exit.sh /path/to/serve_tool /path/to/dse_tool
+# Usage: serve_client_exit.sh /path/to/serve_tool /path/to/dse_tool /path/to/sdlc
 set -u
 
-tool="${1:?usage: serve_client_exit.sh serve_tool dse_tool}"
-dse="${2:?usage: serve_client_exit.sh serve_tool dse_tool}"
+tool="${1:?usage: serve_client_exit.sh serve_tool dse_tool sdlc}"
+dse="${2:?usage: serve_client_exit.sh serve_tool dse_tool sdlc}"
+sdlc="${3:?usage: serve_client_exit.sh serve_tool dse_tool sdlc}"
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 cd "$workdir"
@@ -130,6 +131,19 @@ check_exit "connect to dead socket" 3 $?
 check_exit "non-numeric option value" 2 $?
 "$tool" --client good.ndjson 2>/dev/null
 check_exit "client without destination" 2 $?
+"$tool" --no-sliced </dev/null 2>/dev/null
+check_exit "removed --no-sliced server flag" 2 $?
+
+# The same strict flag parser in dse_tool and sdlc: trailing junk, bad
+# numbers and unknown keys are usage errors, never a silent default.
+"$dse" --threads 4x 2>/dev/null
+check_exit "dse_tool numeric option with trailing junk" 2 $?
+"$dse" --threads abc 2>/dev/null
+check_exit "dse_tool non-numeric option value" 2 $?
+"$sdlc" eval --widht 6 --depth 2 >/dev/null 2>&1
+check_exit "sdlc misspelled option" 2 $?
+"$sdlc" eval --width 6x --depth 2 >/dev/null 2>&1
+check_exit "sdlc numeric option with trailing junk" 2 $?
 
 # Cluster flag usage contract, serve_tool: malformed worker specs, shard
 # knobs without a worker list, and cluster flags in client/scrape mode are
@@ -152,10 +166,6 @@ check_exit "non-numeric shards" 2 $?
 check_exit "workers in client mode" 2 $?
 "$tool" --scrape --socket "$sock" --shards 4 2>/dev/null
 check_exit "shards in scrape mode" 2 $?
-"$tool" --shard-backoff-ms 50 </dev/null 2>/dev/null
-check_exit "shard backoff without workers" 2 $?
-"$tool" --client good.ndjson --socket "$sock" --shard-backoff-ms 50 2>/dev/null
-check_exit "shard backoff in client mode" 2 $?
 
 # Observability flag usage contract: --access-log and --trace-out are
 # server-side options; dangling values are usage errors.
@@ -181,8 +191,6 @@ check_exit "dse_tool shard timeout without workers" 2 $?
 check_exit "dse_tool shard retries without workers" 2 $?
 "$dse" --workers unix:w.sock --shards 0 2>/dev/null
 check_exit "dse_tool zero shards" 2 $?
-"$dse" --shard-backoff-ms 50 2>/dev/null
-check_exit "dse_tool shard backoff without workers" 2 $?
 
 # End to end: a coordinator serving a client sweep through one worker
 # replica exits 0 all the way down.

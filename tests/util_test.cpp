@@ -1,11 +1,13 @@
 // Unit tests for src/util: bit helpers, U256 arithmetic, RNG determinism,
-// table and CSV formatting.
+// table and CSV formatting, and the strict command-line parser.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
+#include "util/args.h"
 #include "util/bitops.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -199,6 +201,50 @@ TEST(Csv, EscapesSpecialCells) {
 
 TEST(Csv, ThrowsOnBadPath) {
     EXPECT_THROW(CsvWriter("/nonexistent-dir-xyz/file.csv"), std::runtime_error);
+}
+
+cli::Args parse(std::vector<const char*> argv) {
+    argv.insert(argv.begin(), "tool");
+    return cli::Args(static_cast<int>(argv.size()), argv.data(), 1,
+                {"--n", "--seed", "--x", "--name"}, {"--flag"});
+}
+
+TEST(Args, ReadsDeclaredValuesAndFlags) {
+    const cli::Args args = parse({"--n", "12", "--flag", "--seed", "0x1f", "--x", "2.5"});
+    EXPECT_FALSE(args.help());
+    EXPECT_TRUE(args.flag("--flag"));
+    EXPECT_TRUE(args.has("--n"));
+    EXPECT_FALSE(args.has("--name"));
+    EXPECT_EQ(args.get_int("--n", 0), 12);
+    EXPECT_EQ(args.get_uint64("--seed", 0), 0x1fu);
+    EXPECT_EQ(args.get_double("--x", 0.0), 2.5);
+    EXPECT_EQ(args.get("--name", "dflt"), "dflt");
+    EXPECT_EQ(args.get_long("--name", 7), 7);
+    EXPECT_TRUE(parse({"--n", "1", "--help", "--bogus"}).help());
+}
+
+TEST(Args, RejectsUnknownKeysAndMissingValues) {
+    EXPECT_THROW(parse({"--nn", "1"}), cli::UsageError);
+    EXPECT_THROW(parse({"--n"}), cli::UsageError);
+    EXPECT_THROW(parse({"stray"}), cli::UsageError);
+}
+
+TEST(Args, RejectsMalformedNumbers) {
+    for (const char* bad : {"4x", "abc", "", "-1", "1.5", "99999999999999999999"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW((void)parse({"--n", bad}).get_long("--n", 0), cli::UsageError);
+    }
+    EXPECT_THROW((void)parse({"--n", "3000000000"}).get_int("--n", 0), cli::UsageError);
+    for (const char* bad : {"0x", "-5", "12z", ""}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW((void)parse({"--seed", bad}).get_uint64("--seed", 0), cli::UsageError);
+    }
+    for (const char* bad : {"1.5.", "nan", "inf", "-0.5", "x"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW((void)parse({"--x", bad}).get_double("--x", 0.0), cli::UsageError);
+    }
+    EXPECT_EQ(cli::Args::parse_long("--widths", "16"), 16);
+    EXPECT_THROW((void)cli::Args::parse_long("--widths", "1 6"), cli::UsageError);
 }
 
 }  // namespace

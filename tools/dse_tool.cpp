@@ -28,8 +28,8 @@
 // regardless of --threads, and identical up to the "sweep time:"/"hw
 // cache:" summary lines regardless of --no-hw-cache.
 #include <algorithm>
+#include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -38,20 +38,19 @@
 #include <unordered_set>
 #include <vector>
 
-#include <fstream>
-
 #include "cluster/coordinator.h"
 #include "dse/evaluator.h"
 #include "dse/export.h"
 #include "dse/pareto.h"
-#include "dse/remote_cache.h"
 #include "dse/sweep.h"
 #include "obs/trace.h"
+#include "util/args.h"
 #include "util/table.h"
 
 namespace {
 
 using namespace sdlc;
+using cli::Args;
 
 [[noreturn]] void usage(const std::string& msg = "") {
     if (!msg.empty()) std::cerr << "error: " << msg << "\n\n";
@@ -76,8 +75,6 @@ using namespace sdlc;
         "                         results; the bit-sliced engine is speed only)\n"
         "    --no-auto-exhaustive disable the per-path time-budget cutoff promotion\n"
         "                         (pin the fixed --exhaustive-max-width behavior)\n"
-        "    --exhaustive-budget-ms B  per-point budget for the auto cutoff\n"
-        "                         resolution (default 2000)\n"
         "    --no-hw-cache        disable the content-keyed synthesis cache\n"
         "    --repeat K           evaluate the sweep K times (warm-cache runs);\n"
         "                         exits 1 unless all runs are bit-identical\n"
@@ -90,9 +87,6 @@ using namespace sdlc;
         "                         is declared dead (default 60000; 0 = none)\n"
         "    --shard-retries N    remote re-dispatches per shard after its first\n"
         "                         failure before it runs locally (default 2)\n"
-        "    --shard-backoff-ms N first-failure backoff before a shard is\n"
-        "                         re-dispatched; grows exponentially with\n"
-        "                         deterministic jitter (default 0 = immediate)\n"
         "  selection:\n"
         "    --objectives LIST    frontier axes: comma list of error,area,power,\n"
         "                         delay,energy,maxred (default error,area,power,delay)\n"
@@ -110,69 +104,17 @@ using namespace sdlc;
     std::exit(msg.empty() ? 0 : 2);
 }
 
-/// --key value pairs plus boolean flags; unknown options are rejected so a
-/// typo'd flag cannot silently run the wrong sweep.
-class Args {
-public:
-    Args(int argc, char** argv) {
-        static const std::set<std::string> kValueKeys = {
-            "--width",   "--widths",   "--depth-min", "--depth-max", "--variants",
-            "--schemes", "--threads",  "--seed",      "--samples",   "--dist",
-            "--exhaustive-max-width",  "--exhaustive-budget-ms",     "--top",
-            "--by",       "--max-nmed",
-            "--max-mred", "--max-area", "--max-power", "--max-delay", "--csv",
-            "--json",     "--repeat",   "--objectives", "--workers",
-            "--shards",   "--shard-timeout-ms",           "--shard-retries",
-            "--shard-backoff-ms",       "--trace-out"};
-        for (int i = 1; i < argc; ++i) {
-            std::string key = argv[i];
-            if (key == "--help" || key == "-h") usage();
-            if (key == "--frontier") {
-                flags_["frontier"] = true;
-                continue;
-            }
-            if (key == "--no-hw-cache") {
-                flags_["no-hw-cache"] = true;
-                continue;
-            }
-            if (key == "--no-sliced") {
-                flags_["no-sliced"] = true;
-                continue;
-            }
-            if (key == "--no-auto-exhaustive") {
-                flags_["no-auto-exhaustive"] = true;
-                continue;
-            }
-            if (kValueKeys.count(key) == 0) usage("unknown option " + key);
-            if (i + 1 >= argc) usage("missing value for " + key);
-            values_[key] = argv[++i];
-        }
-    }
-    [[nodiscard]] std::string get(const std::string& key, const std::string& dflt = "") const {
-        const auto it = values_.find(key);
-        return it == values_.end() ? dflt : it->second;
-    }
-    [[nodiscard]] bool has(const std::string& key) const { return values_.count(key) != 0; }
-    [[nodiscard]] int get_int(const std::string& key, int dflt) const {
-        const std::string v = get(key);
-        return v.empty() ? dflt : std::stoi(v);
-    }
-    [[nodiscard]] uint64_t get_uint64(const std::string& key, uint64_t dflt) const {
-        const std::string v = get(key);
-        if (v.empty()) return dflt;
-        if (v.find('-') != std::string::npos) usage(key + " must be non-negative");
-        return std::stoull(v, nullptr, 0);
-    }
-    [[nodiscard]] double get_double(const std::string& key, double dflt) const {
-        const std::string v = get(key);
-        return v.empty() ? dflt : std::stod(v);
-    }
-    [[nodiscard]] bool flag(const std::string& key) const { return flags_.count(key) != 0; }
-
-private:
-    std::map<std::string, std::string> values_;
-    std::map<std::string, bool> flags_;
-};
+Args parse_args(int argc, char** argv) {
+    std::set<std::string> value_keys = {
+        "--width",     "--widths",    "--depth-min", "--depth-max",  "--variants",
+        "--schemes",   "--threads",   "--seed",      "--samples",    "--dist",
+        "--top",       "--by",        "--max-nmed",  "--max-mred",   "--max-area",
+        "--max-power", "--max-delay", "--csv",       "--json",       "--repeat",
+        "--objectives", "--trace-out", "--exhaustive-max-width"};
+    value_keys.insert(cluster::kClusterFlags.begin(), cluster::kClusterFlags.end());
+    return Args(argc, argv, 1, value_keys,
+                {"--frontier", "--no-hw-cache", "--no-sliced", "--no-auto-exhaustive"});
+}
 
 std::vector<std::string> split_commas(const std::string& list) {
     std::vector<std::string> out;
@@ -190,11 +132,13 @@ SweepSpec spec_from(const Args& args) {
         const std::string range = args.get("--widths");
         const size_t dash = range.find('-');
         if (dash == std::string::npos) usage("--widths expects A-B, got " + range);
-        const int lo = std::stoi(range.substr(0, dash));
-        const int hi = std::stoi(range.substr(dash + 1));
+        const long lo = Args::parse_long("--widths", range.substr(0, dash));
+        const long hi = Args::parse_long("--widths", range.substr(dash + 1));
         if (lo > hi) usage("--widths range is empty");
+        // SweepSpec's limit, checked here so a huge range is never built.
+        if (hi > 32) usage("--widths: widths above 32 are not supported");
         spec.widths.clear();
-        for (int w = lo; w <= hi; ++w) spec.widths.push_back(w);
+        for (long w = lo; w <= hi; ++w) spec.widths.push_back(static_cast<int>(w));
     } else {
         spec.widths = {args.get_int("--width", 8)};
     }
@@ -222,9 +166,7 @@ SweepSpec spec_from(const Args& args) {
 
 EvalOptions options_from(const Args& args) {
     EvalOptions opts;
-    const int threads = args.get_int("--threads", 0);
-    if (threads < 0) usage("--threads must be >= 0");
-    opts.threads = static_cast<unsigned>(threads);
+    opts.threads = static_cast<unsigned>(args.get_int("--threads", 0));
     opts.seed = args.get_uint64("--seed", 0x5d1c5eed);
     opts.samples = args.get_uint64("--samples", uint64_t{1} << 18);
     opts.exhaustive_max_width = args.get_int("--exhaustive-max-width", 10);
@@ -233,8 +175,8 @@ EvalOptions options_from(const Args& args) {
     else if (dist == "gaussian") opts.distribution = OperandDistribution::kGaussian;
     else if (dist == "sparse") opts.distribution = OperandDistribution::kSparse;
     else usage("unknown distribution " + dist);
-    opts.use_hw_cache = !args.flag("no-hw-cache");
-    opts.use_sliced = !args.flag("no-sliced");
+    opts.use_hw_cache = !args.flag("--no-hw-cache");
+    opts.use_sliced = !args.flag("--no-sliced");
     return opts;
 }
 
@@ -244,10 +186,8 @@ EvalOptions options_from(const Args& args) {
 /// options — including into cluster shard sub-requests — so every replica
 /// runs the same engine per point.
 void resolve_cutoffs_from(const Args& args, const SweepSpec& spec, EvalOptions& opts) {
-    if (args.flag("no-auto-exhaustive") || args.has("--exhaustive-max-width")) return;
-    const double budget = args.get_double("--exhaustive-budget-ms", 2000.0);
-    if (budget <= 0) usage("--exhaustive-budget-ms must be > 0");
-    apply_auto_exhaustive(opts, spec, budget);
+    if (args.flag("--no-auto-exhaustive") || args.has("--exhaustive-max-width")) return;
+    apply_auto_exhaustive(opts, spec, kAutoExhaustiveBudgetMs);
 }
 
 /// Bit-exact equality of two evaluated sweeps (the determinism contract of
@@ -258,35 +198,6 @@ bool sweeps_identical(const std::vector<DesignPoint>& a, const std::vector<Desig
         if (a[i].error != b[i].error || !(a[i].hw == b[i].hw)) return false;
     }
     return true;
-}
-
-/// Validated cluster fan-out options from --workers and friends; empty
-/// workers means local evaluation. Shard knobs without --workers are a
-/// usage error — they would silently do nothing.
-cluster::ClusterOptions cluster_options_from(const Args& args) {
-    cluster::ClusterOptions cluster;
-    if (!args.has("--workers")) {
-        for (const char* flag :
-             {"--shards", "--shard-timeout-ms", "--shard-retries", "--shard-backoff-ms"}) {
-            if (args.has(flag)) usage(std::string(flag) + " requires --workers LIST");
-        }
-        return cluster;
-    }
-    std::string error;
-    if (!parse_cache_peer_list(args.get("--workers"), cluster.workers, &error)) {
-        usage("--workers: " + error);
-    }
-    if (cluster.workers.empty()) usage("--workers: empty worker list");
-    const int shards = args.get_int("--shards", 32);
-    if (shards < 1) usage("--shards must be >= 1");
-    cluster.shards = static_cast<size_t>(shards);
-    cluster.shard_timeout_ms = args.get_int("--shard-timeout-ms", 60000);
-    if (cluster.shard_timeout_ms < 0) usage("--shard-timeout-ms must be >= 0");
-    cluster.shard_retries = args.get_int("--shard-retries", 2);
-    if (cluster.shard_retries < 0) usage("--shard-retries must be >= 0");
-    cluster.shard_backoff_ms = args.get_int("--shard-backoff-ms", 0);
-    if (cluster.shard_backoff_ms < 0) usage("--shard-backoff-ms must be >= 0");
-    return cluster;
 }
 
 Objective objective_from(const Args& args) {
@@ -326,21 +237,35 @@ void add_point_row(TextTable& table, const DesignPoint& p, int rank) {
 
 int main(int argc, char** argv) {
     try {
-        const Args args(argc, argv);
+        const Args args = parse_args(argc, argv);
+        if (args.help()) usage();
+        // Every flag is validated before the cutoff calibration and the
+        // sweep run, so a usage error returns at once.
         const SweepSpec spec = spec_from(args);
         EvalOptions opts = options_from(args);
-        resolve_cutoffs_from(args, spec, opts);
-        const Objective by = objective_from(args);  // validate before the sweep runs
+        const Objective by = objective_from(args);
         const ObjectiveSet objectives = objective_set_from(args);
         const int repeat = args.get_int("--repeat", 1);
         if (repeat < 1) usage("--repeat must be >= 1");
+        const size_t top_k = static_cast<size_t>(args.get_int("--top", 0));
+        using Field = double (*)(const DesignPoint&);
+        const std::pair<const char*, Field> filters[] = {
+            {"--max-nmed", [](const DesignPoint& p) { return p.error.nmed; }},
+            {"--max-mred", [](const DesignPoint& p) { return p.error.mred; }},
+            {"--max-area", [](const DesignPoint& p) { return p.hw.area_um2; }},
+            {"--max-power", [](const DesignPoint& p) { return p.hw.dynamic_power_uw; }},
+            {"--max-delay", [](const DesignPoint& p) { return p.hw.delay_ps; }}};
+        std::vector<std::pair<Field, double>> limits;
+        for (const auto& [key, field] : filters) {
+            if (args.has(key)) limits.emplace_back(field, args.get_double(key, 0));
+        }
+        const cluster::ClusterOptions cluster = cluster::cluster_options_from(args);
+        const bool clustered = !cluster.workers.empty();
+        resolve_cutoffs_from(args, spec, opts);
 
         // One cache shared across --repeat runs: run 1 is cold, the rest warm.
         CostCache cache;
         if (opts.use_hw_cache) opts.hw_cache = &cache;
-
-        const cluster::ClusterOptions cluster = cluster_options_from(args);
-        const bool clustered = !cluster.workers.empty();
 
         // --trace-out: record spans on a client-tier recorder seeded from the
         // sweep seed (deterministic ids). The root context carries span_id 0
@@ -389,28 +314,10 @@ int main(int argc, char** argv) {
 
         // Constraint filters run before the Pareto analysis so the frontier
         // is the frontier of the *feasible* region.
-        auto drop_if = [&points](auto pred) {
-            points.erase(std::remove_if(points.begin(), points.end(), pred), points.end());
-        };
-        if (args.has("--max-nmed")) {
-            const double v = args.get_double("--max-nmed", 0);
-            drop_if([v](const DesignPoint& p) { return p.error.nmed > v; });
-        }
-        if (args.has("--max-mred")) {
-            const double v = args.get_double("--max-mred", 0);
-            drop_if([v](const DesignPoint& p) { return p.error.mred > v; });
-        }
-        if (args.has("--max-area")) {
-            const double v = args.get_double("--max-area", 0);
-            drop_if([v](const DesignPoint& p) { return p.hw.area_um2 > v; });
-        }
-        if (args.has("--max-power")) {
-            const double v = args.get_double("--max-power", 0);
-            drop_if([v](const DesignPoint& p) { return p.hw.dynamic_power_uw > v; });
-        }
-        if (args.has("--max-delay")) {
-            const double v = args.get_double("--max-delay", 0);
-            drop_if([v](const DesignPoint& p) { return p.hw.delay_ps > v; });
+        for (const auto& [field, limit] : limits) {
+            points.erase(std::remove_if(points.begin(), points.end(),
+                                        [&](const DesignPoint& p) { return field(p) > limit; }),
+                         points.end());
         }
 
         const ParetoResult pareto = pareto_analysis(objective_matrix(points, objectives));
@@ -426,8 +333,7 @@ int main(int argc, char** argv) {
             return points[a].hw.area_um2 < points[b].hw.area_um2;
         });
 
-        const bool frontier_only = args.flag("frontier");
-        const size_t top_k = static_cast<size_t>(args.get_int("--top", 0));
+        const bool frontier_only = args.flag("--frontier");
 
         std::cout << "DSE sweep: " << spec.describe() << "\n"
                   << "evaluated " << evaluated << " points";
@@ -516,6 +422,8 @@ int main(int argc, char** argv) {
                       << " spans)\n";
         }
         return 0;
+    } catch (const cli::UsageError& e) {
+        usage(e.what());
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;

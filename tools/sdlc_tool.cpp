@@ -9,12 +9,11 @@
 // Variants: accurate | sdlc | compensated.  Schemes: ripple | wallace |
 // dadda | fastcpa.  All commands are deterministic.
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <thread>
-#include <map>
+#include <set>
 #include <string>
+#include <thread>
 
 #include "analysis/expected_error.h"
 #include "api/approx_multiplier.h"
@@ -28,12 +27,14 @@
 #include "netlist/testbench.h"
 #include "netlist/vcd.h"
 #include "tech/synthesis.h"
+#include "util/args.h"
 #include "util/rng.h"
 #include "util/table.h"
 
 namespace {
 
 using namespace sdlc;
+using cli::Args;
 
 [[noreturn]] void usage(const std::string& msg = "") {
     if (!msg.empty()) std::cerr << "error: " << msg << "\n\n";
@@ -48,37 +49,23 @@ using namespace sdlc;
     std::exit(msg.empty() ? 0 : 2);
 }
 
-/// Minimal option parser: --key value pairs plus boolean flags.
-class Args {
-public:
-    Args(int argc, char** argv, int first) {
-        for (int i = first; i < argc; ++i) {
-            std::string key = argv[i];
-            if (key.rfind("--", 0) != 0 && key != "-o") usage("unexpected argument " + key);
-            if (key == "--exhaustive") {
-                flags_["exhaustive"] = true;
-                continue;
-            }
-            if (i + 1 >= argc) usage("missing value for " + key);
-            values_[key == "-o" ? "--out" : key] = argv[++i];
-        }
+/// The options each command takes (argv[2] onward).
+Args parse_args(const std::string& cmd, int argc, char** argv) {
+    std::set<std::string> values = {"--width", "--depth", "--variant", "--scheme"};
+    std::set<std::string> flags;
+    if (cmd == "gen") {
+        values.insert({"-o", "--tb", "--dot", "--vcd"});
+    } else if (cmd == "eval") {
+        values.insert("--samples");
+        flags.insert("--exhaustive");
+    } else if (cmd == "blur") {
+        values = {"--input", "--depth", "-o"};
+    } else if (cmd != "synth") {
+        if (cmd == "--help" || cmd == "-h") usage();
+        usage("unknown command " + cmd);
     }
-    [[nodiscard]] std::string get(const std::string& key, const std::string& dflt = "") const {
-        const auto it = values_.find(key);
-        return it == values_.end() ? dflt : it->second;
-    }
-    [[nodiscard]] int get_int(const std::string& key, int dflt) const {
-        const std::string v = get(key);
-        return v.empty() ? dflt : std::stoi(v);
-    }
-    [[nodiscard]] bool flag(const std::string& key) const {
-        return flags_.count(key) != 0;
-    }
-
-private:
-    std::map<std::string, std::string> values_;
-    std::map<std::string, bool> flags_;
-};
+    return Args(argc, argv, 2, values, flags);
+}
 
 MultiplierConfig config_from(const Args& args) {
     MultiplierConfig cfg;
@@ -98,7 +85,7 @@ int cmd_gen(const Args& args) {
     const Netlist optimized = optimize(hw.net).netlist;
     const std::string module = "sdlc_mul";
 
-    const std::string out = args.get("--out", "sdlc_mul.v");
+    const std::string out = args.get("-o", "sdlc_mul.v");
     {
         std::ofstream f(out);
         if (!f) usage("cannot open " + out);
@@ -141,13 +128,13 @@ int cmd_eval(const Args& args) {
 
     ErrorMetrics m;
     std::string mode;
-    if (args.flag("exhaustive") || cfg.width <= 12) {
+    if (args.flag("--exhaustive") || cfg.width <= 12) {
         // Explicit thread count: a standalone CLI run wants the machine's
         // cores (the inline default targets embedded/pool-worker callers).
         m = exhaustive_metrics(cfg.width, f, std::thread::hardware_concurrency());
         mode = "exhaustive";
     } else {
-        const uint64_t samples = static_cast<uint64_t>(args.get_int("--samples", 1 << 22));
+        const uint64_t samples = args.get_uint64("--samples", uint64_t{1} << 22);
         m = sampled_metrics(cfg.width, samples, 0x5eed, f);
         mode = "sampled " + std::to_string(samples);
     }
@@ -193,7 +180,7 @@ int cmd_blur(const Args& args) {
     const Image out = convolve(input, kernel, [&](uint8_t px, uint8_t w) {
         return static_cast<uint32_t>(sdlc_multiply(plan, px, w));
     });
-    const std::string path = args.get("--out", "blur.pgm");
+    const std::string path = args.get("-o", "blur.pgm");
     save_pgm(out, path);
     std::cout << "depth " << depth << " blur -> " << path << " (PSNR vs exact blur: "
               << fmt_fixed(psnr(reference, out), 2) << " dB)\n";
@@ -206,13 +193,14 @@ int main(int argc, char** argv) {
     if (argc < 2) usage();
     const std::string cmd = argv[1];
     try {
-        const Args args(argc, argv, 2);
+        const Args args = parse_args(cmd, argc, argv);
+        if (args.help()) usage();
         if (cmd == "gen") return cmd_gen(args);
         if (cmd == "eval") return cmd_eval(args);
         if (cmd == "synth") return cmd_synth(args);
-        if (cmd == "blur") return cmd_blur(args);
-        if (cmd == "--help" || cmd == "-h") usage();
-        usage("unknown command " + cmd);
+        return cmd_blur(args);
+    } catch (const cli::UsageError& e) {
+        usage(e.what());
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;

@@ -31,13 +31,12 @@
 #include <condition_variable>
 #include <csignal>
 #include <cstdlib>
-#include <iostream>
 #include <fstream>
+#include <iostream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,7 +45,6 @@
 #include <unistd.h>
 
 #include "cluster/coordinator.h"
-#include "dse/remote_cache.h"
 #include "obs/access_log.h"
 #include "obs/trace.h"
 #include "serve/http.h"
@@ -55,12 +53,14 @@
 #include "serve/service.h"
 #include "serve/socket.h"
 #include "serve/transport.h"
+#include "util/args.h"
 #include "util/json_parse.h"
 
 namespace {
 
 using namespace sdlc;
 using namespace sdlc::serve;
+using cli::Args;
 
 [[noreturn]] void usage(const std::string& msg = "") {
     if (!msg.empty()) std::cerr << "error: " << msg << "\n\n";
@@ -88,12 +88,8 @@ using namespace sdlc::serve;
         "    --max-request-bytes N  reject longer request lines (default 1 MiB)\n"
         "    --reject-overload    answer a full queue with an `overloaded` error\n"
         "                         event instead of blocking the connection\n"
-        "    --no-sliced          force the scalar exhaustive error engine for\n"
-        "                         every request (bit-identical results; speed only)\n"
         "    --no-auto-exhaustive disable the per-path time-budget cutoff promotion\n"
         "                         for requests that did not pin their own cutoffs\n"
-        "    --exhaustive-budget-ms B  per-point budget for the auto cutoff\n"
-        "                         resolution (default 2000)\n"
         "  observability (server modes):\n"
         "    --access-log FILE    append one JSON line per request (trace_id, verb,\n"
         "                         outcome, queue_wait_s, wall_s, bytes_out, flags)\n"
@@ -110,9 +106,6 @@ using namespace sdlc::serve;
         "                         is declared dead (default 60000; 0 = none)\n"
         "    --shard-retries N    remote re-dispatches per shard after its first\n"
         "                         failure before it runs locally (default 2)\n"
-        "    --shard-backoff-ms N first-failure backoff before a shard is\n"
-        "                         re-dispatched; grows exponentially with\n"
-        "                         deterministic jitter (default 0 = immediate)\n"
         "  client:\n"
         "    --client FILE        send FILE's request lines ('-' = stdin)\n"
         "    --socket PATH        server Unix socket to connect to\n"
@@ -129,74 +122,17 @@ using namespace sdlc::serve;
     std::exit(msg.empty() ? 0 : 2);
 }
 
-struct Args {
-    std::map<std::string, std::string> values;
-    std::set<std::string> flags;
-
-    Args(int argc, char** argv) {
-        const std::set<std::string> value_keys = {"--listen",         "--listen-tcp",
-                                                  "--threads",        "--workers",
-                                                  "--request-workers",
-                                                  "--queue-capacity", "--max-request-bytes",
-                                                  "--client",         "--socket",
-                                                  "--tcp",            "--output",
-                                                  "--shards",
-                                                  "--shard-timeout-ms", "--shard-retries",
-                                                  "--shard-backoff-ms", "--access-log",
-                                                  "--trace-out",      "--exhaustive-budget-ms",
-                                                  "--listen-http",    "--auth-token-file",
-                                                  "--quota-rps",      "--quota-burst",
-                                                  "--http"};
-        const std::set<std::string> flag_keys = {"--quiet", "--scrape", "--reject-overload",
-                                                 "--no-sliced", "--no-auto-exhaustive"};
-        for (int i = 1; i < argc; ++i) {
-            const std::string key = argv[i];
-            if (key == "--help" || key == "-h") usage();
-            if (flag_keys.count(key) != 0) {
-                flags.insert(key.substr(2));
-                continue;
-            }
-            if (value_keys.count(key) == 0) usage("unknown option " + key);
-            if (i + 1 >= argc) usage("missing value for " + key);
-            values[key] = argv[++i];
-        }
-    }
-
-    [[nodiscard]] std::string get(const std::string& key, const std::string& dflt = "") const {
-        const auto it = values.find(key);
-        return it == values.end() ? dflt : it->second;
-    }
-    [[nodiscard]] long get_long(const std::string& key, long dflt) const {
-        const std::string v = get(key);
-        if (v.empty()) return dflt;
-        long parsed = 0;
-        try {
-            size_t consumed = 0;
-            parsed = std::stol(v, &consumed);
-            if (consumed != v.size()) usage(key + " expects an integer, got \"" + v + "\"");
-        } catch (const std::logic_error&) {
-            // invalid_argument / out_of_range: a usage error, not a
-            // transport failure — exit 2, matching the documented contract.
-            usage(key + " expects an integer, got \"" + v + "\"");
-        }
-        if (parsed < 0) usage(key + " must be >= 0");
-        return parsed;
-    }
-    [[nodiscard]] double get_double(const std::string& key, double dflt) const {
-        const std::string v = get(key);
-        if (v.empty()) return dflt;
-        double parsed = 0.0;
-        try {
-            size_t consumed = 0;
-            parsed = std::stod(v, &consumed);
-            if (consumed != v.size()) usage(key + " expects a number, got \"" + v + "\"");
-        } catch (const std::logic_error&) {
-            usage(key + " expects a number, got \"" + v + "\"");
-        }
-        if (!(parsed >= 0.0)) usage(key + " must be >= 0");
-        return parsed;
-    }
-};
+Args parse_args(int argc, char** argv) {
+    std::set<std::string> value_keys = {
+        "--listen",          "--listen-tcp",     "--listen-http",       "--threads",
+        "--request-workers", "--queue-capacity", "--max-request-bytes", "--client",
+        "--socket",          "--tcp",            "--output",            "--access-log",
+        "--trace-out",       "--auth-token-file", "--quota-rps",        "--quota-burst",
+        "--http"};
+    value_keys.insert(cluster::kClusterFlags.begin(), cluster::kClusterFlags.end());
+    return Args(argc, argv, 1, value_keys,
+                {"--quiet", "--scrape", "--reject-overload", "--no-auto-exhaustive"});
+}
 
 ServiceOptions service_options(const Args& args) {
     ServiceOptions opts;
@@ -205,17 +141,13 @@ ServiceOptions service_options(const Args& args) {
     opts.queue_capacity = static_cast<size_t>(args.get_long("--queue-capacity", 64));
     opts.max_request_bytes = static_cast<size_t>(
         args.get_long("--max-request-bytes", static_cast<long>(kDefaultMaxRequestBytes)));
-    opts.reject_when_full = args.flags.count("reject-overload") != 0;
+    opts.reject_when_full = args.flag("--reject-overload");
     if (const std::string path = args.get("--access-log"); !path.empty()) {
         std::string error;
         opts.access_log = obs::AccessLog::open(path, &error);
         if (opts.access_log == nullptr) usage("--access-log: " + error);
     }
-    opts.use_sliced = args.flags.count("no-sliced") == 0;
-    opts.auto_exhaustive = args.flags.count("no-auto-exhaustive") == 0;
-    const long budget = args.get_long("--exhaustive-budget-ms", 2000);
-    if (budget < 1) usage("--exhaustive-budget-ms must be >= 1");
-    opts.exhaustive_budget_ms = static_cast<double>(budget);
+    opts.auto_exhaustive = !args.flag("--no-auto-exhaustive");
     return opts;
 }
 
@@ -234,27 +166,8 @@ void write_trace_out(const Args& args, const SweepService& service) {
 /// CoordinatorService fanning sweep shards out to --workers replicas. The
 /// worker list uses the peer spec grammar of dse_tool --workers.
 std::unique_ptr<SweepService> make_service(const Args& args, const ServiceOptions& opts) {
-    const bool clustered = args.values.count("--workers") != 0;
-    if (!clustered) {
-        for (const char* flag :
-             {"--shards", "--shard-timeout-ms", "--shard-retries", "--shard-backoff-ms"}) {
-            if (args.values.count(flag) != 0) {
-                usage(std::string(flag) + " requires --workers LIST");
-            }
-        }
-        return std::make_unique<SweepService>(opts);
-    }
-    cluster::ClusterOptions cluster;
-    std::string error;
-    if (!parse_cache_peer_list(args.get("--workers"), cluster.workers, &error)) {
-        usage("--workers: " + error);
-    }
-    if (cluster.workers.empty()) usage("--workers: empty worker list");
-    cluster.shards = static_cast<size_t>(args.get_long("--shards", 32));
-    if (cluster.shards == 0) usage("--shards must be >= 1");
-    cluster.shard_timeout_ms = static_cast<int>(args.get_long("--shard-timeout-ms", 60000));
-    cluster.shard_retries = static_cast<int>(args.get_long("--shard-retries", 2));
-    cluster.shard_backoff_ms = static_cast<int>(args.get_long("--shard-backoff-ms", 0));
+    cluster::ClusterOptions cluster = cluster::cluster_options_from(args);
+    if (cluster.workers.empty()) return std::make_unique<SweepService>(opts);
     return std::make_unique<cluster::CoordinatorService>(opts, std::move(cluster));
 }
 
@@ -340,7 +253,7 @@ int run_socket_server(const Args& args) {
     std::unique_ptr<SocketListener> line_listener;
     if (const std::string path = args.get("--listen"); !path.empty()) {
         line_listener = std::make_unique<UnixSocketServer>(path);
-    } else if (args.values.count("--listen-tcp") != 0) {
+    } else if (args.has("--listen-tcp")) {
         std::string host;
         uint16_t port = 0;
         std::string error;
@@ -350,7 +263,7 @@ int run_socket_server(const Args& args) {
         line_listener = std::make_unique<TcpSocketServer>(host, port);
     }
     std::unique_ptr<TcpSocketServer> http_listener;
-    if (args.values.count("--listen-http") != 0) {
+    if (args.has("--listen-http")) {
         std::string host;
         uint16_t port = 0;
         std::string error;
@@ -374,7 +287,7 @@ int run_socket_server(const Args& args) {
             }
         }
         http.quota_rps = args.get_double("--quota-rps", 0.0);
-        if (args.values.count("--quota-rps") != 0 && http.quota_rps <= 0.0) {
+        if (args.has("--quota-rps") && http.quota_rps <= 0.0) {
             usage("--quota-rps must be > 0");
         }
         http.quota_burst = args.get_double("--quota-burst", 0.0);
@@ -415,7 +328,7 @@ int run_socket_server(const Args& args) {
 int run_client(const Args& args) {
     const std::string request_path = args.get("--client");
     const std::string output_path = args.get("--output");
-    const bool quiet = args.flags.count("quiet") != 0;
+    const bool quiet = args.flag("--quiet");
 
     // Collect the request lines first so we know how many done events to
     // expect before anything is sent.
@@ -552,8 +465,8 @@ int run_client(const Args& args) {
 // ----------------------------------------------------------- scrape mode ----
 
 int run_scrape(const Args& args) {
-    if (args.values.count("--http") != 0) {
-        if (args.values.count("--socket") != 0 || args.values.count("--tcp") != 0) {
+    if (args.has("--http")) {
+        if (args.has("--socket") || args.has("--tcp")) {
             usage("give exactly one of --socket, --tcp or --http");
         }
         std::string host;
@@ -658,31 +571,29 @@ int main(int argc, char** argv) {
     // A client that disconnects mid-stream must not kill the server.
     std::signal(SIGPIPE, SIG_IGN);
     try {
-        const Args args(argc, argv);
+        const Args args = parse_args(argc, argv);
+        if (args.help()) usage();
         // One mode per invocation: ambiguous combinations are rejected, not
         // silently resolved by precedence.
-        if (args.values.count("--listen") != 0 && args.values.count("--listen-tcp") != 0) {
+        if (args.has("--listen") && args.has("--listen-tcp")) {
             usage("give --listen or --listen-tcp, not both");
         }
-        const bool server = args.values.count("--listen") != 0 ||
-                            args.values.count("--listen-tcp") != 0 ||
-                            args.values.count("--listen-http") != 0;
-        const bool client = args.values.count("--client") != 0;
-        const bool scrape = args.flags.count("scrape") != 0;
-        if (args.values.count("--http") != 0 && !scrape) {
+        const bool server =
+            args.has("--listen") || args.has("--listen-tcp") || args.has("--listen-http");
+        const bool client = args.has("--client");
+        const bool scrape = args.flag("--scrape");
+        if (args.has("--http") && !scrape) {
             usage("--http is a --scrape option (servers use --listen-http)");
         }
         for (const char* flag : {"--quota-rps", "--quota-burst"}) {
-            if (args.values.count(flag) != 0 && args.values.count("--listen-http") == 0) {
+            if (args.has(flag) && !args.has("--listen-http")) {
                 usage(std::string(flag) + " requires --listen-http");
             }
         }
-        if (args.values.count("--quota-burst") != 0 &&
-            args.values.count("--quota-rps") == 0) {
+        if (args.has("--quota-burst") && !args.has("--quota-rps")) {
             usage("--quota-burst requires --quota-rps");
         }
-        if (args.values.count("--auth-token-file") != 0 &&
-            args.values.count("--listen-http") == 0 && args.values.count("--http") == 0) {
+        if (args.has("--auth-token-file") && !args.has("--listen-http") && !args.has("--http")) {
             usage("--auth-token-file requires --listen-http (server) or "
                   "--scrape --http (client)");
         }
@@ -690,22 +601,20 @@ int main(int argc, char** argv) {
             usage("server (--listen/--listen-tcp), client (--client) and --scrape "
                   "are mutually exclusive modes");
         }
-        if ((client || scrape) && (args.values.count("--access-log") != 0 ||
-                                   args.values.count("--trace-out") != 0)) {
+        if ((client || scrape) && (args.has("--access-log") || args.has("--trace-out"))) {
             usage("--access-log/--trace-out are server options");
         }
-        if ((client || scrape) &&
-            (args.values.count("--workers") != 0 || args.values.count("--shards") != 0 ||
-             args.values.count("--shard-timeout-ms") != 0 ||
-             args.values.count("--shard-retries") != 0 ||
-             args.values.count("--shard-backoff-ms") != 0)) {
-            usage("--workers/--shards/--shard-timeout-ms/--shard-retries/--shard-backoff-ms "
-                  "are server options");
+        for (const char* flag : cluster::kClusterFlags) {
+            if ((client || scrape) && args.has(flag)) {
+                usage(std::string(flag) + " is a server option");
+            }
         }
         if (scrape) return run_scrape(args);
         if (client) return run_client(args);
         if (server) return run_socket_server(args);
         return run_stdio_server(args);
+    } catch (const cli::UsageError& e) {
+        usage(e.what());
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 3;
