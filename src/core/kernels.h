@@ -79,8 +79,10 @@ public:
     [[nodiscard]] uint64_t operator()(uint64_t a, uint64_t b) const noexcept {
         if (fn_) return fn_(a, b);
         uint64_t p = a * b - planned_error(a, b);
+        // Branch-free: whether a term fires follows the operand bits, which
+        // a predictor cannot learn on random operands.
         for (const CompensationTerm& t : comp_) {
-            if (((b >> t.row_a) & (b >> t.row_b)) & 1u) p += t.value;
+            p += t.value & (0 - (((b >> t.row_a) & (b >> t.row_b)) & 1u));
         }
         return p;
     }

@@ -50,20 +50,6 @@ uint64_t draw_operand(Xoshiro256& rng, uint64_t mask, OperandDistribution dist) 
     return rng.next() & mask;
 }
 
-template <typename Fn>
-ErrorMetrics sampled_distribution_metrics(int width, uint64_t samples, uint64_t seed,
-                                          OperandDistribution dist, Fn approx) {
-    ErrorAccumulator acc(width);
-    Xoshiro256 rng(seed);
-    const uint64_t mask = (uint64_t{1} << width) - 1;
-    for (uint64_t i = 0; i < samples; ++i) {
-        const uint64_t a = draw_operand(rng, mask, dist);
-        const uint64_t b = draw_operand(rng, mask, dist);
-        acc.add(a * b, approx(a, b));
-    }
-    return acc.finalize();
-}
-
 }  // namespace
 
 const char* error_engine_name(ErrorEngine e) noexcept {
@@ -183,8 +169,8 @@ ErrorMetrics evaluate_error(const MultiplierConfig& config, const EvalOptions& o
     ErrorMetrics error;
     switch (engine) {
         case ErrorEngine::kExhaustiveSliced: {
-            // 64 products per bitwise op; bit-identical to the scalar
-            // engine below (enforced by exhaustive tests).
+            // 64-product blocks from per-lane tables; bit-identical to
+            // the scalar engine below (enforced by exhaustive tests).
             const SlicedMultiplyKernel kernel(config);
             error = exhaustive_metrics_sliced(kernel, /*max_threads=*/0, shard_pool);
             break;
@@ -202,9 +188,12 @@ ErrorMetrics evaluate_error(const MultiplierConfig& config, const EvalOptions& o
         }
         case ErrorEngine::kSampled: {
             const MultiplyKernel kernel(config);
-            error = sampled_distribution_metrics(
-                config.width, opts.samples, function_seed(opts.seed, config), opts.distribution,
-                [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); });
+            error = sampled_metrics(
+                config.width, opts.samples, function_seed(opts.seed, config),
+                [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); },
+                [&opts](Xoshiro256& rng, uint64_t mask) {
+                    return draw_operand(rng, mask, opts.distribution);
+                });
             break;
         }
     }

@@ -11,12 +11,16 @@
 // function, so results are bit-identical regardless of the thread count or
 // scheduling order.
 //
-// Error evaluation dispatches through core/kernels.h (stateless bit-trick
-// kernels where available, the strength-reduced planned path otherwise),
-// and hardware cost is memoized in a content-keyed CostCache shared across
-// the sweep; both produce results bit-identical to the direct
-// ApproxMultiplier / synthesize() path, so turning them off changes speed
-// only (see EvalOptions::use_hw_cache).
+// Error evaluation dispatches to one of three engines (select_error_engine):
+// the sliced exhaustive engine (core/kernels_sliced.h, per-lane tables over
+// 64-pair blocks), the scalar exhaustive engine over core/kernels.h
+// (stateless bit-trick kernels where available, the strength-reduced
+// planned path otherwise), or seeded sampling over the same scalar kernels.
+// All three feed ErrorAccumulator::add_block. Hardware cost is memoized in
+// a content-keyed CostCache shared across the sweep. The sliced engine and
+// the cache both produce results bit-identical to the scalar engine and the
+// direct synthesize() path, so turning them off changes speed only (see
+// EvalOptions::use_sliced and use_hw_cache).
 #ifndef SDLC_DSE_EVALUATOR_H
 #define SDLC_DSE_EVALUATOR_H
 
@@ -58,8 +62,8 @@ struct EvalOptions {
     unsigned threads = 0;           ///< worker threads; 0 = hardware concurrency
     int exhaustive_max_width = 10;  ///< exhaustive error sweep at or below this width
     uint64_t samples = uint64_t{1} << 18;  ///< Monte-Carlo samples above it
-    /// Evaluate exhaustive sweeps with the bit-sliced engine whenever the
-    /// configuration is planned-path eligible (non-accurate, depth >= 2,
+    /// Evaluate exhaustive sweeps with the sliced (lane-table block)
+    /// engine whenever the configuration is planned-path eligible (non-accurate, depth >= 2,
     /// width <= 16). Bit-identical to the scalar engine — this knob changes
     /// speed only (the `dse_tool --no-sliced` escape hatch; a serve request
     /// sends "eval": {"sliced": false}).
@@ -146,7 +150,7 @@ struct SweepDeadlineExceeded : std::runtime_error {
 
 /// Which error engine evaluate_point runs for one configuration.
 enum class ErrorEngine {
-    kExhaustiveSliced,  ///< bit-sliced exhaustive (core/kernels_sliced.h)
+    kExhaustiveSliced,  ///< lane-table block exhaustive (core/kernels_sliced.h)
     kExhaustiveScalar,  ///< scalar-kernel exhaustive (error/evaluate.h)
     kSampled,           ///< seeded Monte-Carlo (width above every cutoff)
 };
@@ -154,7 +158,7 @@ enum class ErrorEngine {
 /// "sliced", "scalar", or "sampled".
 [[nodiscard]] const char* error_engine_name(ErrorEngine e) noexcept;
 
-/// Pure engine choice for one configuration: the bit-sliced engine when
+/// Pure engine choice for one configuration: the sliced engine when
 /// enabled, eligible, and the width fits the sliced (or scalar-path)
 /// cutoff; otherwise scalar exhaustive under the config's own kernel-path
 /// cutoff; otherwise sampling. Deterministic given (config, opts) — the

@@ -22,7 +22,7 @@ struct EngineCalibration {
     double accurate_ns = 0.0;  ///< accurate / depth-1 bit-trick kernel
     double fast2_ns = 0.0;     ///< sdlc depth-2 closed-form kernel
     double planned_ns = 0.0;   ///< strength-reduced planned path (scalar)
-    double sliced_ns = 0.0;    ///< bit-sliced engine (64 lanes per op)
+    double sliced_ns = 0.0;    ///< sliced engine (64-lane table blocks)
 };
 
 /// Times small exhaustive sweeps on each path and returns ns/op figures.

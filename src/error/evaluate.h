@@ -17,13 +17,11 @@
 // hardware_concurrency() raw std::threads on every call, which
 // oversubscribed N*M threads when invoked from resident pool workers.)
 //
-// The inner loop is strength-reduced: the exact product a*b advances by
-// adding `a` as `b` steps through a tile, so no hardware multiply is spent
-// on the reference value. Tiles re-seed the running product from one true
-// multiply, which keeps the addition chain short, bounds the live range of
-// the loop state to something register-resident, and gives the compiler a
-// fixed trip count to unroll. The (a, b) visit order is unchanged, so all
-// accumulated metrics stay bit-identical to the pre-tiled engine.
+// Both engines hand their pairs to ErrorAccumulator::add_block in chunks
+// of kPairChunk, in visit order, so the metrics are bit-identical to adding
+// each pair on its own. In the exhaustive engine the exact product a*b
+// advances by adding `a` as `b` steps through a chunk, re-seeded from one
+// true multiply per chunk.
 #ifndef SDLC_ERROR_EVALUATE_H
 #define SDLC_ERROR_EVALUATE_H
 
@@ -72,6 +70,9 @@ void run_sharded(unsigned shards, unsigned max_threads, ThreadPool* pool,
 
 }  // namespace detail
 
+/// Pairs per ErrorAccumulator::add_block call in every error engine.
+inline constexpr unsigned kPairChunk = 64;
+
 /// Fixed shard-grid size of the exhaustive engines. The shard count (not
 /// the worker count) decides the floating-point accumulation order, so the
 /// result never depends on how many workers ran.
@@ -91,17 +92,17 @@ template <typename ApproxFn>
         static_cast<unsigned>(std::min<uint64_t>(kExhaustiveShards, side));
     std::vector<ErrorAccumulator> accs(shards, ErrorAccumulator(width));
     detail::run_sharded(shards, max_threads, pool, [&](unsigned s) {
-        // B-axis tile: big enough to amortize the per-tile multiply, small
-        // enough that the unrolled inner loop's state stays in registers.
-        constexpr uint64_t kTile = 1024;
         ErrorAccumulator& acc = accs[s];
+        uint64_t exact[kPairChunk], out[kPairChunk];
         for (uint64_t a = s; a < side; a += shards) {
-            for (uint64_t b0 = 0; b0 < side; b0 += kTile) {
-                const uint64_t b_end = std::min(side, b0 + kTile);
-                uint64_t exact = a * b0;  // re-seed the running product
-                for (uint64_t b = b0; b < b_end; ++b, exact += a) {
-                    acc.add(exact, approx(a, b));
+            for (uint64_t b0 = 0; b0 < side; b0 += kPairChunk) {
+                const unsigned n = static_cast<unsigned>(std::min<uint64_t>(kPairChunk, side - b0));
+                uint64_t p = a * b0;  // re-seed the running product
+                for (unsigned i = 0; i < n; ++i, p += a) {
+                    exact[i] = p;
+                    out[i] = approx(a, b0 + i);
                 }
+                acc.add_block(exact, out, n);
             }
         }
     });
@@ -109,19 +110,35 @@ template <typename ApproxFn>
     return accs[0].finalize();
 }
 
+/// Evaluates `approx` on `samples` random operand pairs; `draw(rng, mask)`
+/// returns one width-masked operand (a, then b, per sample).
+template <typename ApproxFn, typename DrawFn>
+[[nodiscard]] ErrorMetrics sampled_metrics(int width, uint64_t samples, uint64_t seed,
+                                           ApproxFn approx, DrawFn draw) {
+    ErrorAccumulator acc(width);
+    Xoshiro256 rng(seed);
+    const uint64_t mask = (uint64_t{1} << width) - 1;
+    uint64_t exact[kPairChunk], out[kPairChunk];
+    for (uint64_t done = 0; done < samples;) {
+        const unsigned n = static_cast<unsigned>(std::min<uint64_t>(kPairChunk, samples - done));
+        for (unsigned i = 0; i < n; ++i) {
+            const uint64_t a = draw(rng, mask);
+            const uint64_t b = draw(rng, mask);
+            exact[i] = a * b;
+            out[i] = approx(a, b);
+        }
+        acc.add_block(exact, out, n);
+        done += n;
+    }
+    return acc.finalize();
+}
+
 /// Evaluates `approx` on `samples` uniformly random operand pairs.
 template <typename ApproxFn>
 [[nodiscard]] ErrorMetrics sampled_metrics(int width, uint64_t samples, uint64_t seed,
                                            ApproxFn approx) {
-    ErrorAccumulator acc(width);
-    Xoshiro256 rng(seed);
-    const uint64_t mask = (uint64_t{1} << width) - 1;
-    for (uint64_t i = 0; i < samples; ++i) {
-        const uint64_t a = rng.next() & mask;
-        const uint64_t b = rng.next() & mask;
-        acc.add(a * b, approx(a, b));
-    }
-    return acc.finalize();
+    return sampled_metrics(width, samples, seed, approx,
+                           [](Xoshiro256& rng, uint64_t mask) { return rng.next() & mask; });
 }
 
 }  // namespace sdlc

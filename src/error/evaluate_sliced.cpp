@@ -15,7 +15,7 @@ ErrorMetrics exhaustive_metrics_sliced(const SlicedMultiplyKernel& kernel,
     detail::run_sharded(shards, max_threads, pool, [&](unsigned s) {
         ErrorAccumulator& acc = accs[s];
         SlicedMultiplyKernel::Prepared prep;
-        uint64_t out[64];
+        uint64_t exact[64], out[64];
         for (uint64_t a = s; a < side; a += shards) {
             kernel.prepare(a, prep);
             // side is a power of two >= lanes, so every block is aligned
@@ -23,10 +23,9 @@ ErrorMetrics exhaustive_metrics_sliced(const SlicedMultiplyKernel& kernel,
             // engine visits it.
             for (uint64_t b0 = 0; b0 < side; b0 += lanes) {
                 kernel.multiply_block_prepared(prep, b0, out);
-                uint64_t exact = a * b0;
-                for (unsigned l = 0; l < lanes; ++l, exact += a) {
-                    acc.add(exact, out[l]);
-                }
+                uint64_t p = a * b0;
+                for (unsigned l = 0; l < lanes; ++l, p += a) exact[l] = p;
+                acc.add_block(exact, out, lanes);
             }
         }
     });

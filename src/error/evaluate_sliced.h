@@ -1,12 +1,14 @@
-// Exhaustive error evaluation on the bit-sliced kernel.
+// Exhaustive error evaluation on the sliced (lane-table) kernel.
 //
 // Same shard grid, same (a, b) visit order, same per-shard accumulators and
-// merge order as the scalar exhaustive_metrics() — only the inner loop
-// changes: each stripe evaluates 64 consecutive b values per block through
-// SlicedMultiplyKernel's prepared fast path instead of one scalar kernel
-// call per pair. Because ErrorAccumulator sees identical (exact, approx)
-// pairs in an identical order, the returned ErrorMetrics is bit-identical
-// to the scalar engine for every eligible configuration (enforced by
+// merge order as the scalar exhaustive_metrics() — only the products
+// change source: each stripe prepares its lane tables once per a, then
+// evaluates 64 consecutive b values per block through
+// SlicedMultiplyKernel::multiply_block_prepared instead of one scalar kernel
+// call per pair, and hands each block to ErrorAccumulator::add_block.
+// Because the accumulator sees identical (exact, approx) pairs in an
+// identical order, the returned ErrorMetrics is bit-identical to the scalar
+// engine for every eligible configuration (enforced by
 // tests/kernels_sliced_test.cpp).
 #ifndef SDLC_ERROR_EVALUATE_SLICED_H
 #define SDLC_ERROR_EVALUATE_SLICED_H

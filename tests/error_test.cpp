@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "error/evaluate.h"
 #include "error/histogram.h"
 #include "error/metrics.h"
+#include "util/rng.h"
 
 namespace sdlc {
 namespace {
@@ -76,6 +78,85 @@ TEST(ErrorAccumulator, MergeEqualsSequential) {
     EXPECT_DOUBLE_EQ(ma.error_rate, mm.error_rate);
     EXPECT_EQ(ma.max_ed, mm.max_ed);
     EXPECT_EQ(ma.samples, mm.samples);
+}
+
+/// Feeds the same pairs to one accumulator through add() and to another
+/// through add_block() in chunks of `chunk`, then requires bit-identical
+/// metrics (ErrorMetrics operator== compares doubles exactly).
+void expect_add_block_matches_add(int width, const std::vector<uint64_t>& exact,
+                                  const std::vector<uint64_t>& approx, size_t chunk) {
+    ErrorAccumulator seq(width), blk(width);
+    for (size_t i = 0; i < exact.size(); ++i) seq.add(exact[i], approx[i]);
+    for (size_t i = 0; i < exact.size(); i += chunk) {
+        blk.add_block(exact.data() + i, approx.data() + i, std::min(chunk, exact.size() - i));
+    }
+    const ErrorMetrics ms = seq.finalize(), mb = blk.finalize();
+    EXPECT_EQ(mb, ms) << "mred " << mb.mred << " vs " << ms.mred << ", med " << mb.med
+                      << " vs " << ms.med << ", bias " << mb.bias << " vs " << ms.bias
+                      << ", rmse " << mb.rmse << " vs " << ms.rmse;
+}
+
+TEST(ErrorAccumulator, AddBlockMatchesSequentialAddOnRandomBlocks) {
+    // Random magnitudes up to 2^40, both error signs, ~1/4 exact pairs,
+    // and odd block lengths so a chunk boundary never lines up with 64.
+    Xoshiro256 rng(0xadd0b10c);
+    std::vector<uint64_t> exact, approx;
+    for (int i = 0; i < 20000; ++i) {
+        const uint64_t e = rng.next() >> (24 + rng.next() % 40);
+        const uint64_t d = rng.next() >> (40 + rng.next() % 24);
+        const unsigned kind = static_cast<unsigned>(rng.next() % 4);
+        exact.push_back(e);
+        approx.push_back(kind == 0 ? e : kind == 1 ? e + d : e - std::min(e, d));
+    }
+    for (const size_t chunk : {size_t{1}, size_t{7}, size_t{63}, size_t{64}}) {
+        SCOPED_TRACE(chunk);
+        expect_add_block_matches_add(32, exact, approx, chunk);
+    }
+}
+
+TEST(ErrorAccumulator, AddBlockAdversarialCases) {
+    // exact == 0 with approx != 0 (RED 1), exact == 0 with approx == 0
+    // (no error), and approx > exact.
+    expect_add_block_matches_add(8, {0, 0, 5, 0, 9, 100}, {3, 0, 9, 0, 5, 101}, 64);
+    // An all-exact block moves only the sample count.
+    expect_add_block_matches_add(8, std::vector<uint64_t>(64, 77),
+                                 std::vector<uint64_t>(64, 77), 64);
+    ErrorAccumulator exact_only(8);
+    const std::vector<uint64_t> same(64, 42);
+    exact_only.add_block(same.data(), same.data(), same.size());
+    EXPECT_EQ(exact_only.finalize().samples, 64u);
+    EXPECT_EQ(exact_only.finalize().error_rate, 0.0);
+    EXPECT_EQ(exact_only.finalize().max_red, 0.0);
+    // n < 64, including a single pair and an empty block.
+    expect_add_block_matches_add(8, {10, 20, 30}, {11, 19, 30}, 3);
+    expect_add_block_matches_add(8, {10}, {0}, 1);
+    ErrorAccumulator empty(8);
+    empty.add_block(nullptr, nullptr, 0);
+    EXPECT_EQ(empty.finalize().samples, 0u);
+}
+
+TEST(ErrorAccumulator, AddBlockKeepsRoundingPastTwoTo53) {
+    // ED near 2^32 (odd, so every partial sum has low bits set): sum_ed
+    // crosses 2^53 after ~2^21 pairs and ED^2 exceeds it at once, so each
+    // double addition rounds and an exact integer sum would differ.
+    Xoshiro256 rng(0x2b53);
+    std::vector<uint64_t> exact, approx;
+    const uint64_t base = uint64_t{1} << 40;
+    for (int i = 0; i < (1 << 21) + 4096; ++i) {
+        const uint64_t e = base + (rng.next() >> 30);
+        const uint64_t ed = (uint64_t{1} << 32) - 1 - 2 * (rng.next() >> 48);
+        exact.push_back(e);
+        approx.push_back(i % 3 == 0 ? e + ed : e - ed);
+    }
+    expect_add_block_matches_add(32, exact, approx, 64);
+    // Operands at or above 2^53 (not exact doubles) take the same bits too.
+    for (size_t i = 0; i < 4096; ++i) {
+        exact[i] = (uint64_t{1} << 60) + (rng.next() >> 8);
+        approx[i] = exact[i] - (rng.next() >> 12);
+    }
+    exact.resize(4096);
+    approx.resize(4096);
+    expect_add_block_matches_add(32, exact, approx, 64);
 }
 
 TEST(ErrorAccumulator, RejectsBadWidth) {

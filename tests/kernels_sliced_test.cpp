@@ -1,24 +1,21 @@
-// Bit-identity battery for the bit-sliced evaluation engine.
+// Bit-identity battery for the sliced (lane-table) evaluation engine.
 //
 // The engine's contract is absolute: every product it emits, and every
 // ErrorMetrics the exhaustive evaluator derives from them, is bit-identical
 // to the scalar MultiplyKernel path — for every eligible configuration,
-// every operand pair, every lane alignment, and every threading mode. This
-// suite enforces each clause:
+// every operand pair and every threading mode. This suite enforces each
+// clause:
 //
-//   - transpose64 round-trips (it is its own inverse on the plane matrix);
 //   - exhaustive block identity over the full operand square for every
 //     eligible config of the width-2..8 sweep grid (the same 252-config
-//     grid kernel_netlist_diff_test pins), on both the general
-//     multiply_block path and the prepare + multiply_block_prepared fast
-//     path;
-//   - lane misalignment: arbitrary b0 offsets and partial lane counts;
-//   - widths 12-16: corner operands plus fixed-seed random streams (the
-//     square is 16M-4G pairs there, so exhaustive identity is enforced at
-//     the engine level for width 12 and spot-checked structurally above);
+//     grid kernel_netlist_diff_test pins);
+//   - widths 12-16: corner operands plus fixed-seed random streams,
+//     including deep compensated configs whose straddling group and
+//     compensation terms cross B bit 6;
 //   - engine level: exhaustive_metrics_sliced == exhaustive_metrics
-//     (ErrorMetrics operator== is bit-exact) inline, with dedicated
-//     threads, and sharded over a ThreadPool.
+//     (ErrorMetrics operator== is bit-exact) for every depth 2..10 of both
+//     variants at width 10 and compensated depth 12 at width 12, inline,
+//     with dedicated threads, and sharded over a ThreadPool.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -46,31 +43,6 @@ MultiplierConfig make_config(int width, int depth, MultiplierVariant variant,
     return cfg;
 }
 
-TEST(Transpose64, RoundTripsRandomMatrix) {
-    Xoshiro256 rng(0x7a05e5);
-    uint64_t m[64], original[64], out[64];
-    for (auto& word : m) word = rng.next();
-    for (int i = 0; i < 64; ++i) original[i] = m[i];
-
-    // Spot-check the definition: bit j of transposed word l == bit l of
-    // original word j.
-    transpose64_to(out, m);
-    for (int l = 0; l < 8; ++l) {
-        for (int j = 0; j < 64; ++j) {
-            ASSERT_EQ((out[l] >> j) & 1u, (original[j] >> l) & 1u) << "l=" << l << " j=" << j;
-        }
-    }
-
-    // Involution: transposing twice restores the matrix, in place and out
-    // of place (dst may alias src).
-    transpose64(m);
-    for (int i = 0; i < 64; ++i) ASSERT_EQ(m[i], out[i]);
-    transpose64(m);
-    for (int i = 0; i < 64; ++i) ASSERT_EQ(m[i], original[i]);
-    transpose64_to(m, m);
-    for (int i = 0; i < 64; ++i) ASSERT_EQ(m[i], out[i]);
-}
-
 TEST(SlicedEligibility, MatchesDocumentedRules) {
     // Planned-path configs in [2, 16] with depth in [2, width] qualify.
     EXPECT_TRUE(SlicedMultiplyKernel::eligible(make_config(8, 2, MultiplierVariant::kSdlc)));
@@ -90,8 +62,8 @@ TEST(SlicedEligibility, MatchesDocumentedRules) {
                  std::invalid_argument);
 }
 
-/// Exhaustive identity over the full operand square: every (a, b) pair via
-/// both block entry points against the scalar kernel.
+/// Exhaustive identity over the full operand square: every (a, b) pair
+/// against the scalar kernel.
 void expect_sliced_matches_scalar_exhaustive(const MultiplierConfig& config) {
     const MultiplyKernel scalar(config);
     const SlicedMultiplyKernel sliced(config);
@@ -109,11 +81,6 @@ void expect_sliced_matches_scalar_exhaustive(const MultiplierConfig& config) {
             for (unsigned l = 0; l < lanes; ++l) {
                 ASSERT_EQ(out[l], scalar(a, b0 + l))
                     << "prepared a=" << a << " b=" << b0 + l;
-            }
-            // The general path must agree on the same aligned block.
-            sliced.multiply_block(a, b0, lanes, out);
-            for (unsigned l = 0; l < lanes; ++l) {
-                ASSERT_EQ(out[l], scalar(a, b0 + l)) << "block a=" << a << " b=" << b0 + l;
             }
         }
     }
@@ -141,44 +108,23 @@ TEST(SlicedKernel, ExhaustiveIdentitySweepGridWidths2To8) {
     EXPECT_EQ(eligible, 224u);
 }
 
-TEST(SlicedKernel, LaneMisalignment) {
-    // Arbitrary b0 offsets and partial lane counts through the general
-    // path — the case the aligned sweep fast path never exercises.
-    for (const MultiplierConfig& config :
-         {make_config(8, 3, MultiplierVariant::kSdlc),
-          make_config(10, 2, MultiplierVariant::kCompensated),
-          make_config(12, 4, MultiplierVariant::kSdlc, AccumulationScheme::kWallace)}) {
-        SCOPED_TRACE(ApproxMultiplier(config).describe());
-        const MultiplyKernel scalar(config);
-        const SlicedMultiplyKernel sliced(config);
-        const uint64_t mask = (uint64_t{1} << config.width) - 1;
-        uint64_t out[64];
-        Xoshiro256 rng(0xa119 ^ static_cast<uint64_t>(config.width));
-        for (int iter = 0; iter < 256; ++iter) {
-            const uint64_t a = rng.next() & mask;
-            const unsigned lanes = 1 + static_cast<unsigned>(rng.next() % 64);
-            // Keep b0 + lanes - 1 inside the operand width.
-            const uint64_t b0 = rng.next() % (mask + 2 - lanes);
-            sliced.multiply_block(a, b0, lanes, out);
-            for (unsigned l = 0; l < lanes; ++l) {
-                ASSERT_EQ(out[l], scalar(a, b0 + l))
-                    << "a=" << a << " b0=" << b0 << " lanes=" << lanes << " l=" << l;
-            }
-        }
-    }
-}
-
 TEST(SlicedKernel, WideWidthsCornersAndRandomStreams) {
     // Widths 12-16: the operand square is too large for per-config
     // exhaustion here, so pin corner operands plus a fixed-seed random
-    // stream per config (1024 prepared blocks and 256 general blocks each).
+    // stream of 1024 blocks per config.
     const MultiplierConfig configs[] = {
         make_config(12, 2, MultiplierVariant::kSdlc),
+        make_config(12, 12, MultiplierVariant::kCompensated),
         make_config(13, 5, MultiplierVariant::kCompensated, AccumulationScheme::kDadda),
+        make_config(13, 9, MultiplierVariant::kCompensated),
         make_config(14, 3, MultiplierVariant::kSdlc, AccumulationScheme::kRowFastCpa),
+        make_config(14, 7, MultiplierVariant::kCompensated, AccumulationScheme::kWallace),
         make_config(15, 2, MultiplierVariant::kCompensated),
+        make_config(15, 11, MultiplierVariant::kCompensated),
         make_config(16, 4, MultiplierVariant::kSdlc, AccumulationScheme::kWallace),
+        make_config(16, 8, MultiplierVariant::kCompensated),
         make_config(16, 16, MultiplierVariant::kSdlc),
+        make_config(16, 16, MultiplierVariant::kCompensated),
     };
     for (const MultiplierConfig& config : configs) {
         SCOPED_TRACE(ApproxMultiplier(config).describe());
@@ -215,16 +161,6 @@ TEST(SlicedKernel, WideWidthsCornersAndRandomStreams) {
             check_prepared(a, b0);
             if (HasFatalFailure()) return;
         }
-        for (int iter = 0; iter < 256; ++iter) {
-            const uint64_t a = rng.next() & mask;
-            const unsigned n = 1 + static_cast<unsigned>(rng.next() % 64);
-            const uint64_t b0 = rng.next() % (mask + 2 - n);
-            sliced.multiply_block(a, b0, n, out);
-            for (unsigned l = 0; l < n; ++l) {
-                ASSERT_EQ(out[l], scalar(a, b0 + l)) << "a=" << a << " b=" << b0 + l;
-            }
-            if (HasFatalFailure()) return;
-        }
     }
 }
 
@@ -240,13 +176,12 @@ ErrorMetrics scalar_exhaustive(const MultiplierConfig& config, unsigned max_thre
 TEST(SlicedEngine, MetricsBitIdenticalAcrossWidthsAndThreading) {
     // The full engine contract: identical ErrorMetrics (operator== is
     // field-exact on doubles — same summation order, same bits) for every
-    // threading mode. Width 10 keeps the square at 1M pairs so the matrix
-    // of modes stays fast; width 12 runs once inline below.
+    // threading mode.
     const MultiplierConfig configs[] = {
         make_config(6, 2, MultiplierVariant::kSdlc),
         make_config(9, 3, MultiplierVariant::kSdlc, AccumulationScheme::kWallace),
         make_config(10, 2, MultiplierVariant::kCompensated),
-        make_config(10, 4, MultiplierVariant::kSdlc),
+        make_config(10, 7, MultiplierVariant::kCompensated),
     };
     ThreadPool pool(3);
     for (const MultiplierConfig& config : configs) {
@@ -266,11 +201,35 @@ TEST(SlicedEngine, MetricsBitIdenticalAcrossWidthsAndThreading) {
     }
 }
 
+TEST(SlicedEngine, MetricsBitIdenticalEveryDepthWidth10) {
+    // Every group layout: depths 2, 3 and 6 split cleanly at B bit 6;
+    // depths 4, 5 and >= 7 have one group straddling it, and compensated
+    // depths >= 4 add compensation terms across it.
+    ThreadPool pool(3);
+    for (const MultiplierVariant variant :
+         {MultiplierVariant::kSdlc, MultiplierVariant::kCompensated}) {
+        for (int depth = 2; depth <= 10; ++depth) {
+            const MultiplierConfig config = make_config(10, depth, variant);
+            SCOPED_TRACE(ApproxMultiplier(config).describe());
+            const SlicedMultiplyKernel kernel(config);
+            EXPECT_EQ(exhaustive_metrics_sliced(kernel, 0, &pool),
+                      scalar_exhaustive(config, 0, &pool));
+        }
+    }
+}
+
 TEST(SlicedEngine, MetricsBitIdenticalWidth12) {
-    // One width-12 config end to end: 16.7M pairs through both engines.
-    const MultiplierConfig config = make_config(12, 3, MultiplierVariant::kSdlc);
-    const SlicedMultiplyKernel kernel(config);
-    EXPECT_EQ(exhaustive_metrics_sliced(kernel), scalar_exhaustive(config));
+    // Width-12 configs end to end: 16.7M pairs each through both engines,
+    // including the deepest compensated function of the default sweep.
+    ThreadPool pool(3);
+    for (const MultiplierConfig& config :
+         {make_config(12, 3, MultiplierVariant::kSdlc),
+          make_config(12, 12, MultiplierVariant::kCompensated)}) {
+        SCOPED_TRACE(ApproxMultiplier(config).describe());
+        const SlicedMultiplyKernel kernel(config);
+        EXPECT_EQ(exhaustive_metrics_sliced(kernel, 0, &pool),
+                  scalar_exhaustive(config, 0, &pool));
+    }
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ using cli::Args;
         "                         setting it pins the fixed cutoff and disables the\n"
         "                         auto time-budget promotion\n"
         "    --no-sliced          force the scalar exhaustive engine (bit-identical\n"
-        "                         results; the bit-sliced engine is speed only)\n"
+        "                         results; the sliced engine is speed only)\n"
         "    --no-auto-exhaustive disable the per-path time-budget cutoff promotion\n"
         "                         (pin the fixed --exhaustive-max-width behavior)\n"
         "    --no-hw-cache        disable the content-keyed synthesis cache\n"
