@@ -78,16 +78,16 @@ int main(int argc, char** argv) {
         "Sharded enumeration across replicas merges back byte-identical; the fleet is an "
         "accelerator, never a result-changing dependency.");
 
-    // Width 12 with a mid-size Monte-Carlo sample count: per-point cost
-    // (error eval + synthesis) is large against the per-shard socket
-    // overhead, so fan-out scaling is what gets measured. The cutoffs are
-    // left unpinned: the coordinator must carry its fixed cutoff to the
-    // replicas for the exports to match.
+    // Width 12 with a mid-size Monte-Carlo sample count (budget 0 samples
+    // every point): per-point cost (error eval + synthesis) is large
+    // against the per-shard socket overhead, so fan-out scaling is what
+    // gets measured.
     const SweepSpec spec = SweepSpec::for_width(12);
     const ObjectiveSet objectives = default_objectives();
     const int repetitions = args.quick ? 1 : 3;
     auto base_opts = [] {
         EvalOptions opts;
+        opts.exhaustive_budget = 0;
         opts.samples = 32768;
         return opts;
     };

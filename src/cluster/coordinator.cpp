@@ -218,26 +218,11 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
     proto.spec = spec;
     proto.eval.seed = eval.seed;
     proto.eval.samples = eval.samples;
-    proto.eval.exhaustive_max_width = eval.exhaustive_max_width;
+    proto.eval.exhaustive_budget = eval.exhaustive_budget;
     proto.eval.distribution = eval.distribution;
     proto.eval.evaluate_hardware = eval.evaluate_hardware;
     proto.eval.use_hw_cache = eval.use_hw_cache;
     proto.eval.use_sliced = eval.use_sliced;
-    // The wire always carries resolved per-path cutoffs, so every replica
-    // runs the coordinator's engine per point. All-zero widths mean
-    // "unpinned" on the wire and a replica would resolve them from its own
-    // calibration; an unpinned coordinator therefore sends its fixed
-    // cutoff on every path, which selects exactly the engines it would. A
-    // non-positive fixed cutoff travels as -1: still pinned, and like 0 it
-    // falls back to exhaustive_max_width in select_error_engine.
-    const bool unpinned = eval.exhaustive_width_accurate == 0 && eval.exhaustive_width_fast2 == 0 &&
-                          eval.exhaustive_width_planned == 0 && eval.exhaustive_width_sliced == 0;
-    const int fixed_cutoff = eval.exhaustive_max_width > 0 ? eval.exhaustive_max_width : -1;
-    const auto resolved = [&](int per_path) { return unpinned ? fixed_cutoff : per_path; };
-    proto.eval.exhaustive_width_accurate = resolved(eval.exhaustive_width_accurate);
-    proto.eval.exhaustive_width_fast2 = resolved(eval.exhaustive_width_fast2);
-    proto.eval.exhaustive_width_planned = resolved(eval.exhaustive_width_planned);
-    proto.eval.exhaustive_width_sliced = resolved(eval.exhaustive_width_sliced);
     proto.stream_points = true;
     proto.export_json = false;
     proto.point_bits = true;

@@ -8,7 +8,7 @@
 // cluster present at that weight are replaced by their logical OR.
 //
 // The extent rule is the significance-driven progressive sizing recovered by
-// exhaustive calibration against the paper's Tables II and III (every metric
+// an exhaustive fit against the paper's Tables II and III (every metric
 // matches to all printed digits; see DESIGN.md Section 1.1):
 //
 //     extent(g) = (N - 1) + 2*(depth - 2) - (depth - 1)*g

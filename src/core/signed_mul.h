@@ -6,7 +6,7 @@
 // error profile exactly (the error magnitude of a*b equals that of
 // |a|*|b|), which is the property DSP kernels care about; a Baugh-Wooley
 // restructuring would change the partial-product matrix and therefore the
-// calibrated error behaviour.
+// validated error behaviour.
 //
 // The hardware wrapper adds two conditional negators (XOR rows + increment)
 // on the operands and one on the product, plus the sign XOR.

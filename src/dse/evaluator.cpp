@@ -5,14 +5,12 @@
 #include <optional>
 #include <unordered_set>
 
-#include <algorithm>
 #include <cstring>
 
 #include "api/approx_multiplier.h"
 #include "core/kernels.h"
 #include "core/kernels_sliced.h"
 #include "dse/shard_merge.h"
-#include "error/calibrate.h"
 #include "error/evaluate.h"
 #include "error/evaluate_sliced.h"
 #include "util/rng.h"
@@ -61,55 +59,65 @@ const char* error_engine_name(ErrorEngine e) noexcept {
     return "?";
 }
 
+namespace {
+
+/// The exhaustive engine paths and their static cost weights: relative
+/// cost per operand pair, charged against EvalOptions::exhaustive_budget.
+/// Measured engine throughput on a 4-core x86 box, in ns per pair:
+/// accurate 2.2-2.8, sliced 3.7-5.6, fast2 9.3-15.8, planned 10.9-17.9.
+/// Each width step costs 4x the pairs, so a weight only has to be right to
+/// within 4x to pick the same cutoff width; static weights therefore stay
+/// valid across machines, and a result never depends on one.
+enum class EnginePath { kAccurate, kFast2, kPlanned, kSliced };
+constexpr struct {
+    const char* name;
+    uint64_t weight;
+} kEnginePaths[] = {{"accurate", 1}, {"fast2", 4}, {"planned", 4}, {"sliced", 1}};
+
+uint64_t path_weight(EnginePath path) noexcept {
+    return kEnginePaths[static_cast<size_t>(path)].weight;
+}
+
+/// True when an exhaustive sweep of `width` on a path of `weight` fits the
+/// budget. 4^16 x 4 = 2^34, so the product cannot overflow.
+bool fits_budget(int width, uint64_t weight, uint64_t budget) noexcept {
+    return width <= kMaxExhaustiveWidth && (uint64_t{1} << (2 * width)) * weight <= budget;
+}
+
+}  // namespace
+
 ErrorEngine select_error_engine(const MultiplierConfig& config,
                                 const EvalOptions& opts) noexcept {
-    const auto cutoff = [&](int per_path) {
-        return per_path > 0 ? per_path : opts.exhaustive_max_width;
-    };
-    const char* path = multiply_kernel_name(config);
-    int scalar_cut = cutoff(opts.exhaustive_width_planned);
-    if (std::strcmp(path, "accurate") == 0) {
-        scalar_cut = cutoff(opts.exhaustive_width_accurate);
-    } else if (std::strcmp(path, "sdlc-fast2") == 0) {
-        scalar_cut = cutoff(opts.exhaustive_width_fast2);
+    const bool sliced = opts.use_sliced && SlicedMultiplyKernel::eligible(config);
+    EnginePath path = EnginePath::kSliced;
+    if (!sliced) {
+        const char* name = multiply_kernel_name(config);
+        path = std::strcmp(name, "accurate") == 0     ? EnginePath::kAccurate
+               : std::strcmp(name, "sdlc-fast2") == 0 ? EnginePath::kFast2
+                                                      : EnginePath::kPlanned;
     }
-    if (opts.use_sliced && SlicedMultiplyKernel::eligible(config) &&
-        config.width <= std::max(cutoff(opts.exhaustive_width_sliced), scalar_cut)) {
-        return ErrorEngine::kExhaustiveSliced;
+    if (!fits_budget(config.width, path_weight(path), opts.exhaustive_budget)) {
+        return ErrorEngine::kSampled;
     }
-    if (config.width <= scalar_cut) return ErrorEngine::kExhaustiveScalar;
-    return ErrorEngine::kSampled;
+    return sliced ? ErrorEngine::kExhaustiveSliced : ErrorEngine::kExhaustiveScalar;
 }
 
 std::string describe_exhaustive_cutoffs(const EvalOptions& opts) {
-    if (opts.exhaustive_width_accurate == 0 && opts.exhaustive_width_fast2 == 0 &&
-        opts.exhaustive_width_planned == 0 && opts.exhaustive_width_sliced == 0) {
-        return "fixed(" + std::to_string(opts.exhaustive_max_width) + ")";
+    std::string out;
+    for (const auto& path : kEnginePaths) {
+        int widest = 0;
+        while (widest < kMaxExhaustiveWidth &&
+               fits_budget(widest + 1, path.weight, opts.exhaustive_budget)) {
+            ++widest;
+        }
+        out += (out.empty() ? "budget(" : ",") + std::string(path.name) + "=" +
+               std::to_string(widest);
     }
-    const auto cutoff = [&](int per_path) {
-        return per_path > 0 ? per_path : opts.exhaustive_max_width;
-    };
-    return "auto(accurate=" + std::to_string(cutoff(opts.exhaustive_width_accurate)) +
-           ",fast2=" + std::to_string(cutoff(opts.exhaustive_width_fast2)) +
-           ",planned=" + std::to_string(cutoff(opts.exhaustive_width_planned)) +
-           ",sliced=" + std::to_string(cutoff(opts.exhaustive_width_sliced)) + ")";
+    return out + ")";
 }
 
-void apply_auto_exhaustive(EvalOptions& opts, const SweepSpec& spec, double budget_ms) {
-    if (opts.exhaustive_width_accurate != 0 || opts.exhaustive_width_fast2 != 0 ||
-        opts.exhaustive_width_planned != 0 || opts.exhaustive_width_sliced != 0) {
-        return;  // pinned: the submitter already resolved or fixed the cutoffs
-    }
-    int max_width = 0;
-    for (const int w : spec.widths) max_width = std::max(max_width, w);
-    if (max_width <= opts.exhaustive_max_width) return;  // promotion can't matter
-    const ExhaustiveCutoffs cut =
-        resolve_exhaustive_cutoffs(engine_calibration(), opts.exhaustive_max_width, budget_ms);
-    opts.exhaustive_width_accurate = cut.accurate;
-    opts.exhaustive_width_fast2 = cut.fast2;
-    opts.exhaustive_width_planned = cut.planned;
-    opts.exhaustive_width_sliced = cut.sliced;
-}
+void apply_auto_exhaustive(EvalOptions& /*opts*/, const SweepSpec& /*spec*/,
+                           double /*budget_ms*/) {}
 
 ErrorEngineTally tally_error_engines(const std::vector<MultiplierConfig>& configs,
                                      const EvalOptions& opts) noexcept {

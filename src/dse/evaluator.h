@@ -1,9 +1,9 @@
 // Parallel evaluation of design points: software error + hardware cost.
 //
 // For each MultiplierConfig the evaluator computes error metrics with the
-// bit-exact software model (exhaustive up to a width threshold, seeded
-// Monte-Carlo above it) and hardware cost by generating the netlist and
-// running the virtual-synthesis flow (optimize -> STA -> power). Error
+// bit-exact software model (exhaustive while the sweep fits a pair budget,
+// seeded Monte-Carlo otherwise) and hardware cost by generating the netlist
+// and running the virtual-synthesis flow (optimize -> STA -> power). Error
 // metrics depend only on the multiplier's function (width, variant, cluster
 // depth), not on the accumulation scheme, so a sweep evaluates each
 // function once and copies the result to its scheme siblings. Function
@@ -20,7 +20,7 @@
 // a content-keyed CostCache shared across the sweep. The sliced engine and
 // the cache both produce results bit-identical to the scalar engine and the
 // direct synthesize() path, so turning them off changes speed only (see
-// EvalOptions::use_sliced and use_hw_cache).
+// EvalOptions::use_sliced for the one exception and use_hw_cache).
 #ifndef SDLC_DSE_EVALUATOR_H
 #define SDLC_DSE_EVALUATOR_H
 
@@ -57,27 +57,39 @@ enum class OperandDistribution {
 /// Short lowercase name ("uniform", "gaussian", "sparse").
 [[nodiscard]] const char* operand_distribution_name(OperandDistribution d) noexcept;
 
+/// Widest operand an exhaustive error sweep may cover: wider
+/// configurations are always sampled, whatever the budget.
+inline constexpr int kMaxExhaustiveWidth = 16;
+
+/// Largest accepted Monte-Carlo sample count (the smallest is 1): the pair
+/// count of a kMaxExhaustiveWidth exhaustive sweep. The tools and the serve
+/// protocol reject values outside [1, kMaxSamples].
+inline constexpr uint64_t kMaxSamples = uint64_t{1} << (2 * kMaxExhaustiveWidth);
+
+/// Default EvalOptions::exhaustive_budget: weighted pairs per function
+/// evaluation. Implies exhaustive cutoffs accurate 14, fast2 13, planned 13
+/// and sliced 14 (see select_error_engine).
+inline constexpr uint64_t kDefaultExhaustiveBudget = uint64_t{1} << 28;
+
 /// Evaluation knobs.
 struct EvalOptions {
-    unsigned threads = 0;           ///< worker threads; 0 = hardware concurrency
-    int exhaustive_max_width = 10;  ///< exhaustive error sweep at or below this width
-    uint64_t samples = uint64_t{1} << 18;  ///< Monte-Carlo samples above it
+    unsigned threads = 0;  ///< worker threads; 0 = hardware concurrency
+    /// Exhaustive-vs-sampled policy: a configuration's error is evaluated
+    /// exhaustively iff its width is at most kMaxExhaustiveWidth and its
+    /// 4^width pairs times its engine path's static weight fit this budget
+    /// (select_error_engine); 0 = always sample. The choice is a pure
+    /// function of (config, options), so every process and every replica
+    /// of a cluster picks the same engine per point on any machine.
+    uint64_t exhaustive_budget = kDefaultExhaustiveBudget;
+    uint64_t samples = uint64_t{1} << 18;  ///< Monte-Carlo samples when not exhaustive
     /// Evaluate exhaustive sweeps with the sliced (lane-table block)
     /// engine whenever the configuration is planned-path eligible (non-accurate, depth >= 2,
     /// width <= 16). Bit-identical to the scalar engine — this knob changes
     /// speed only (the `dse_tool --no-sliced` escape hatch; a serve request
-    /// sends "eval": {"sliced": false}).
+    /// sends "eval": {"sliced": false}). Off, the config's scalar path
+    /// weight is charged against exhaustive_budget instead, so a width only
+    /// the sliced sweep fits (14 at the default budget) is sampled.
     bool use_sliced = true;
-    /// Per-kernel-path exhaustive cutoff widths, 0 = use
-    /// exhaustive_max_width. Set by the auto time-budget resolution
-    /// (error/calibrate.h) at the tool/service edge; resolved integers —
-    /// never the machine-dependent calibration — travel on the serve wire
-    /// so replicas agree. Auto resolution only promotes above the fixed
-    /// cutoff, never demotes below it.
-    int exhaustive_width_accurate = 0;
-    int exhaustive_width_fast2 = 0;
-    int exhaustive_width_planned = 0;
-    int exhaustive_width_sliced = 0;
     uint64_t seed = 0x5d1c5eed;     ///< base seed; per-function seeds derive from it
     OperandDistribution distribution = OperandDistribution::kUniform;
     bool evaluate_hardware = true;  ///< synthesize netlists for cost metrics
@@ -152,40 +164,34 @@ struct SweepDeadlineExceeded : std::runtime_error {
 enum class ErrorEngine {
     kExhaustiveSliced,  ///< lane-table block exhaustive (core/kernels_sliced.h)
     kExhaustiveScalar,  ///< scalar-kernel exhaustive (error/evaluate.h)
-    kSampled,           ///< seeded Monte-Carlo (width above every cutoff)
+    kSampled,           ///< seeded Monte-Carlo (exhaustive sweep over budget)
 };
 
 /// "sliced", "scalar", or "sampled".
 [[nodiscard]] const char* error_engine_name(ErrorEngine e) noexcept;
 
-/// Pure engine choice for one configuration: the sliced engine when
-/// enabled, eligible, and the width fits the sliced (or scalar-path)
-/// cutoff; otherwise scalar exhaustive under the config's own kernel-path
-/// cutoff; otherwise sampling. Deterministic given (config, opts) — the
+/// Pure engine choice for one configuration. The path is the sliced
+/// engine when opts.use_sliced is set and the config is sliced-eligible,
+/// else the config's scalar kernel path (accurate, sdlc-fast2 or planned).
+/// The path runs exhaustively iff width <= kMaxExhaustiveWidth and
+/// 4^width x weight(path) <= opts.exhaustive_budget, with static weights
+/// sliced 1, accurate 1, fast2 4, planned 4; otherwise the config is
+/// sampled. Deterministic given (config, opts) on any machine — the
 /// coordinator replays it to reproduce replica engine tallies.
 [[nodiscard]] ErrorEngine select_error_engine(const MultiplierConfig& config,
                                               const EvalOptions& opts) noexcept;
 
-/// Human-readable cutoff summary for logs and the export summary:
-/// "fixed(10)" when no per-path widths are set, otherwise
-/// "auto(accurate=14,fast2=13,planned=12,sliced=14)".
+/// The widest exhaustive width per path that opts.exhaustive_budget
+/// implies (0 where none fits), for logs and the export summary:
+/// "budget(accurate=14,fast2=13,planned=13,sliced=14)" at the default.
 [[nodiscard]] std::string describe_exhaustive_cutoffs(const EvalOptions& opts);
 
-/// Auto cutoff resolution (the time-budget heuristic): when the sweep
-/// reaches widths above the fixed exhaustive_max_width cutoff, fill the
-/// per-path cutoff widths from the process's measured engine calibration
-/// (error/calibrate.h) so each path runs exhaustive up to the largest
-/// width whose full sweep fits `budget_ms`. No-op — and no calibration
-/// cost — when every swept width already sits at or below the fixed
-/// cutoff, or when per-path widths are already set (a pinned request).
-/// Resolution never demotes below the fixed cutoff. Call once at the
-/// tool/service edge; the resolved integers, not the machine-dependent
-/// calibration, then travel with the options.
+/// Does nothing: the exhaustive cutoff is a pure function of EvalOptions,
+/// so there is nothing to resolve. Kept only because the perfbench harness
+/// still calls it to time its set-up; no other code may call it. It goes,
+/// together with perfbench's error.calibrate_s layer metric, in the next
+/// change to the benchmark.
 void apply_auto_exhaustive(EvalOptions& opts, const SweepSpec& spec, double budget_ms);
-
-/// The per-point budget dse_tool and serve_tool pass to
-/// apply_auto_exhaustive.
-inline constexpr double kAutoExhaustiveBudgetMs = 2000.0;
 
 /// Per-engine point counts for a config list — a pure replay of
 /// select_error_engine, so every replica and the coordinator derive the

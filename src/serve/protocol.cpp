@@ -125,15 +125,20 @@ EvalOptions read_eval(const JsonValue& v) {
     if (!v.is_object()) reject("\"eval\" must be an object");
     // Thread count is deliberately absent: the service owns one shared
     // ThreadPool and a request cannot resize it.
-    check_known_keys(v, "eval", {"seed", "samples", "exhaustive_max_width", "dist", "hardware",
-                                 "hw_cache", "sliced", "exhaustive_widths"});
+    check_known_keys(v, "eval", {"seed", "samples", "exhaustive_budget", "dist", "hardware",
+                                 "hw_cache", "sliced"});
     EvalOptions eval;
     if (const JsonValue* seed = v.find("seed")) eval.seed = read_uint64(*seed, "seed");
     if (const JsonValue* samples = v.find("samples")) {
         eval.samples = read_uint64(*samples, "samples");
+        // 0 samples would report a perfect design; more than the widest
+        // exhaustive sweep's pair count only buys a longer wait.
+        if (eval.samples < 1 || eval.samples > kMaxSamples) {
+            reject("\"samples\" must be in [1, " + std::to_string(kMaxSamples) + "]");
+        }
     }
-    if (const JsonValue* w = v.find("exhaustive_max_width")) {
-        eval.exhaustive_max_width = read_int(*w, "exhaustive_max_width");
+    if (const JsonValue* budget = v.find("exhaustive_budget")) {
+        eval.exhaustive_budget = read_uint64(*budget, "exhaustive_budget");
     }
     if (const JsonValue* dist = v.find("dist")) {
         const std::string name = read_string(*dist, "dist");
@@ -150,26 +155,6 @@ EvalOptions read_eval(const JsonValue& v) {
     }
     if (const JsonValue* sliced = v.find("sliced")) {
         eval.use_sliced = read_bool(*sliced, "sliced");
-    }
-    // Per-path exhaustive cutoffs, resolved by the submitting edge (tool or
-    // coordinator). Integers only — the machine-dependent calibration never
-    // crosses the wire, so every replica runs the same engine per point.
-    if (const JsonValue* widths = v.find("exhaustive_widths")) {
-        if (!widths->is_object()) reject("\"exhaustive_widths\" must be an object");
-        check_known_keys(*widths, "exhaustive_widths",
-                         {"accurate", "fast2", "planned", "sliced"});
-        if (const JsonValue* w = widths->find("accurate")) {
-            eval.exhaustive_width_accurate = read_int(*w, "accurate");
-        }
-        if (const JsonValue* w = widths->find("fast2")) {
-            eval.exhaustive_width_fast2 = read_int(*w, "fast2");
-        }
-        if (const JsonValue* w = widths->find("planned")) {
-            eval.exhaustive_width_planned = read_int(*w, "planned");
-        }
-        if (const JsonValue* w = widths->find("sliced")) {
-            eval.exhaustive_width_sliced = read_int(*w, "sliced");
-        }
     }
     return eval;
 }
@@ -537,31 +522,19 @@ std::string sweep_request_json(const SweepRequest& request) {
     }
     out += "]}";
 
-    // Seed and samples ride as decimal strings: exact for the full 64-bit
-    // range, where a JSON number would silently round past 2^53.
+    // Seed, samples and budget ride as decimal strings: exact for the full
+    // 64-bit range, where a JSON number would silently round past 2^53.
     out += ", \"eval\": {\"seed\": \"" + std::to_string(request.eval.seed) + "\"";
     out += ", \"samples\": \"" + std::to_string(request.eval.samples) + "\"";
-    out += ", \"exhaustive_max_width\": " + std::to_string(request.eval.exhaustive_max_width);
+    out += ", \"exhaustive_budget\": \"" + std::to_string(request.eval.exhaustive_budget) + "\"";
     out += ", \"dist\": \"" +
            std::string(operand_distribution_name(request.eval.distribution)) + "\"";
     out += ", \"hardware\": ";
     out += request.eval.evaluate_hardware ? "true" : "false";
     out += ", \"hw_cache\": ";
     out += request.eval.use_hw_cache ? "true" : "false";
-    // Non-default engine knobs only: a request with default options must
-    // serialize to its exact historical bytes.
+    // The engine knob rides only when it is off.
     if (!request.eval.use_sliced) out += ", \"sliced\": false";
-    if (request.eval.exhaustive_width_accurate != 0 ||
-        request.eval.exhaustive_width_fast2 != 0 ||
-        request.eval.exhaustive_width_planned != 0 ||
-        request.eval.exhaustive_width_sliced != 0) {
-        out += ", \"exhaustive_widths\": {\"accurate\": " +
-               std::to_string(request.eval.exhaustive_width_accurate);
-        out += ", \"fast2\": " + std::to_string(request.eval.exhaustive_width_fast2);
-        out += ", \"planned\": " + std::to_string(request.eval.exhaustive_width_planned);
-        out += ", \"sliced\": " + std::to_string(request.eval.exhaustive_width_sliced);
-        out += "}";
-    }
     out += "}";
 
     out += ", \"objectives\": " + objective_set_json(request.objectives);

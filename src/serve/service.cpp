@@ -382,12 +382,6 @@ void SweepService::run_sweep(const Job& job, double queue_wait_s) {
                                        request.spec.describe()));
 
         EvalOptions eval = request.eval;
-        if (opts_.auto_exhaustive) {
-            // No-op for pinned requests and for sweeps at or below the
-            // fixed cutoff, so default-request event streams keep their
-            // exact historical bytes.
-            apply_auto_exhaustive(eval, request.spec, kAutoExhaustiveBudgetMs);
-        }
         eval.pool = &pool_;
         // The resident cache; evaluate_sweep drops it when use_hw_cache is
         // off.

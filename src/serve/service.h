@@ -65,12 +65,6 @@ struct ServiceOptions {
     /// Completed traced-request trees retained for the `trace` verb and
     /// --trace-out.
     size_t trace_capacity = 64;
-    /// Applies the time-budget cutoff resolution (dse/evaluator.h
-    /// apply_auto_exhaustive, kAutoExhaustiveBudgetMs) to requests that did
-    /// not pin their own per-path cutoffs; the resolved integers are what
-    /// shard sub-requests carry, so a cluster's replicas always agree with
-    /// the coordinator.
-    bool auto_exhaustive = true;
 };
 
 /// The long-lived sweep service (see file comment). The socket transports

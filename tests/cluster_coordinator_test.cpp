@@ -4,7 +4,7 @@
 // restriction, the shard sub-request serializer, the worker spec grammar,
 // and distributed_sweep / CoordinatorService end to end against in-process
 // worker replicas — including dead-worker local fallback, retry accounting
-// and byte-identity above the fixed exhaustive cutoff.
+// and byte-identity at every exhaustive budget.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -261,7 +261,7 @@ TEST(SweepRequestJsonTest, RoundTripsThroughTheStrictParser) {
     req.spec.max_depth = 3;
     req.eval.seed = 99;
     req.eval.samples = 4096;
-    req.eval.exhaustive_max_width = 6;
+    req.eval.exhaustive_budget = UINT64_MAX;  // past 2^53: must ride as a string
     req.eval.distribution = OperandDistribution::kGaussian;
     req.eval.use_hw_cache = false;
     req.stream_points = true;
@@ -281,7 +281,7 @@ TEST(SweepRequestJsonTest, RoundTripsThroughTheStrictParser) {
     EXPECT_EQ(back.spec.max_depth, 3);
     EXPECT_EQ(back.eval.seed, 99u);
     EXPECT_EQ(back.eval.samples, 4096u);
-    EXPECT_EQ(back.eval.exhaustive_max_width, 6);
+    EXPECT_EQ(back.eval.exhaustive_budget, UINT64_MAX);
     EXPECT_EQ(back.eval.distribution, OperandDistribution::kGaussian);
     EXPECT_FALSE(back.eval.use_hw_cache);
     EXPECT_TRUE(back.stream_points);
@@ -528,11 +528,11 @@ std::string export_of(const std::vector<DesignPoint>& points, const SweepStats& 
     return dse_to_json(points, pareto.rank, stats);
 }
 
-TEST(DistributedSweepTest, ExportsMatchLocalAboveTheFixedCutoff) {
-    // Width 12 sits above the fixed cutoff (10), so the engine per point
-    // depends on the cutoff the replicas apply. Whatever mode the
-    // coordinator runs in, replicas must use its cutoff rather than
-    // resolve their own from a local calibration.
+TEST(DistributedSweepTest, ExportsMatchLocalAtEveryBudget) {
+    // At width 12 the engine per point depends on the exhaustive budget,
+    // so replicas must run the coordinator's: always sample (0), a budget
+    // that samples width 12 but not width 11 (4^11), and the default,
+    // which runs width 12 exhaustive.
     Worker w1;
     Worker w2;
     SweepSpec spec;
@@ -545,24 +545,12 @@ TEST(DistributedSweepTest, ExportsMatchLocalAboveTheFixedCutoff) {
     cluster.workers = {w1.spec(), w2.spec()};
     cluster.shards = 2;
 
-    struct Mode {
-        const char* name;
-        int fixed_cutoff;
-        bool auto_resolve;
-    };
-    const Mode modes[] = {
-        {"fixed (no auto)", 10, false},
-        {"pinned exhaustive_max_width=11", 11, false},
-        {"auto", 10, true},
-        {"non-positive fixed cutoff", 0, false},
-    };
-    for (const Mode& mode : modes) {
-        SCOPED_TRACE(mode.name);
+    for (const uint64_t budget : {uint64_t{0}, uint64_t{1} << 22, kDefaultExhaustiveBudget}) {
+        SCOPED_TRACE(budget);
         EvalOptions eval;
         eval.threads = 2;
         eval.samples = 4096;
-        eval.exhaustive_max_width = mode.fixed_cutoff;
-        if (mode.auto_resolve) apply_auto_exhaustive(eval, spec, 2000.0);
+        eval.exhaustive_budget = budget;
 
         SweepStats local_stats;
         const std::vector<DesignPoint> local = evaluate_sweep(spec, eval, &local_stats);
@@ -571,6 +559,7 @@ TEST(DistributedSweepTest, ExportsMatchLocalAboveTheFixedCutoff) {
             distributed_sweep(spec, eval, cluster, &dist_stats);
         EXPECT_TRUE(points_identical(local, merged));
         EXPECT_EQ(export_of(local, local_stats), export_of(merged, dist_stats));
+        EXPECT_EQ(local_stats.engines.sampled, budget == kDefaultExhaustiveBudget ? 0u : 2u);
     }
 }
 
@@ -580,6 +569,7 @@ TEST(DistributedSweepTest, GroupAlignedShardsMatchLocalAtWidth12) {
     const SweepSpec spec = SweepSpec::for_width(12);
     EvalOptions eval;
     eval.threads = 2;
+    eval.exhaustive_budget = 0;
     eval.samples = 4096;
     SweepStats local_stats;
     const std::vector<DesignPoint> local = evaluate_sweep(spec, eval, &local_stats);

@@ -7,8 +7,8 @@
 #   - a worker killed -9 mid-sweep
 #   - a dead worker in an otherwise healthy list
 #   - a slow worker (a stalling endpoint) forcing shard-timeout retries
-#   - a width-12 sweep above the fixed exhaustive cutoff, where replicas
-#     must use the coordinator's cutoff, not their own calibration
+#   - a width-12 sweep at exhaustive budget 0, where replicas must sample
+#     as the coordinator says, not run their own default budget
 # Every topology must reproduce `dse_tool --json` exactly and exit 0; the
 # worker fleet is an accelerator, never a result-changing dependency.
 # Usage: cluster_topology.sh /path/to/dse_tool /path/to/serve_tool
@@ -116,19 +116,19 @@ grep -q '"shard_dispatch"' cluster_trace.json \
     || fail "trace carries no shard-dispatch spans"
 grep -q '"pid": 3' cluster_trace.json || fail "trace carries no worker-tier spans"
 
-# ---- above the fixed cutoff: the wire carries the coordinator's cutoff ------
-# Width 12 with --no-auto-exhaustive samples every point locally; replicas
-# left to resolve their own cutoff would run 2^24-pair exhaustive sweeps
+# ---- budget 0: the wire carries the coordinator's exhaustive budget --------
+# Width 12 with --exhaustive-budget 0 samples every point locally; replicas
+# left at their own default budget would run 2^24-pair exhaustive sweeps
 # instead and export different bytes.
 W12="--width 12 --variants sdlc --schemes ripple --depth-min 2 --depth-max 3 --samples 4096"
-"$dse" $W12 --no-auto-exhaustive --json w12_ref.json >/dev/null \
+"$dse" $W12 --exhaustive-budget 0 --json w12_ref.json >/dev/null \
     || fail "width-12 reference sweep failed"
-"$dse" $W12 --no-auto-exhaustive --workers "$WORKERS" --json w12.json >/dev/null \
+"$dse" $W12 --exhaustive-budget 0 --workers "$WORKERS" --json w12.json >/dev/null \
     || fail "width-12 cluster sweep failed"
 if cmp -s w12_ref.json w12.json; then
-    echo "ok: width-12 fixed-cutoff export byte-identical"
+    echo "ok: width-12 budget-0 export byte-identical"
 else
-    fail "width-12 fixed-cutoff cluster export differs from local"
+    fail "width-12 budget-0 cluster export differs from local"
 fi
 
 # ---- worker killed mid-sweep -----------------------------------------------

@@ -245,7 +245,7 @@ TEST(Evaluator, DeterministicAcrossThreadCounts) {
 }
 
 TEST(Evaluator, SampledPathIsSeededAndDeterministic) {
-    // Force the Monte-Carlo path by lowering the exhaustive cutoff.
+    // Force the Monte-Carlo path with a zero exhaustive budget.
     SweepSpec spec = SweepSpec::for_width(6);
     spec.variants = {MultiplierVariant::kSdlc};
     spec.schemes = {AccumulationScheme::kRowRipple};
@@ -253,7 +253,7 @@ TEST(Evaluator, SampledPathIsSeededAndDeterministic) {
     spec.max_depth = 3;
 
     EvalOptions opts;
-    opts.exhaustive_max_width = 4;
+    opts.exhaustive_budget = 0;
     opts.samples = 2000;
     opts.evaluate_hardware = false;
     opts.threads = 1;
@@ -271,6 +271,7 @@ TEST(Evaluator, SampledPathIsSeededAndDeterministic) {
 TEST(Evaluator, DistributionsChangeSampledMetrics) {
     MultiplierConfig cfg{12, 2, MultiplierVariant::kSdlc, AccumulationScheme::kRowRipple};
     EvalOptions opts;
+    opts.exhaustive_budget = 0;  // distributions only shape sampled operands
     opts.samples = 4000;
     opts.evaluate_hardware = false;
     const DesignPoint uniform = evaluate_point(cfg, opts);
@@ -404,12 +405,11 @@ TEST(FunctionGroups, BoundsFollowSchemeSiblings) {
     EXPECT_FALSE(same_function(a, b));
 }
 
-TEST(Evaluator, EachFunctionEvaluatedOnceAboveTheFixedCutoff) {
+TEST(Evaluator, EachFunctionEvaluatedOnceAtWidth12) {
     SweepSpec spec = SweepSpec::for_width(12);
     spec.min_depth = 2;
     spec.max_depth = 4;
     EvalOptions opts;
-    apply_auto_exhaustive(opts, spec, 2000.0);
     opts.threads = 1;
     SweepStats one_stats;
     const std::vector<DesignPoint> one = evaluate_sweep(spec, opts, &one_stats);
@@ -441,6 +441,7 @@ TEST(Evaluator, SampledSchemeSiblingsDrawTheSameSamples) {
 TEST(Evaluator, ShardRangeCuttingFunctionGroupsMatchesFullSweep) {
     const SweepSpec spec = SweepSpec::for_width(12);
     EvalOptions opts;
+    opts.exhaustive_budget = 0;
     opts.samples = 4096;
     opts.threads = 4;
     const std::vector<DesignPoint> full = evaluate_sweep(spec, opts);
@@ -464,7 +465,6 @@ TEST(Evaluator, OneFunctionSweepIdenticalAcrossThreadCounts) {
     spec.min_depth = 3;
     spec.max_depth = 3;
     EvalOptions opts;
-    opts.exhaustive_max_width = 12;
     opts.threads = 1;
     SweepStats one_stats;
     const std::vector<DesignPoint> one = evaluate_sweep(spec, opts, &one_stats);

@@ -11,17 +11,14 @@
 //      inline, a provided ThreadPool is sharded over, and dedicated
 //      threads appear only for an explicit max_threads > 1.
 //
-//   2. The hard-coded exhaustive-vs-sampled cutoff: one width for every
-//      kernel path, so a ~3 ns/op accurate config was sampled at width 11
-//      while a ~30 ns/op planned config ran exhaustive at width 10. The
-//      cutoff is now resolved per path from measured calibration under a
-//      time budget; resolution is pure, only ever promotes, and pinned
-//      requests bypass it entirely.
+//   2. The exhaustive-vs-sampled cutoff: one pair budget per function
+//      evaluation, charged 4^width x a static per-path weight, so the
+//      choice is a pure function of (config, options) and never of the
+//      machine that evaluates it.
 //
-// The policy functions (select_error_engine, resolve_exhaustive_cutoffs,
-// describe_exhaustive_cutoffs, apply_auto_exhaustive, tally_error_engines)
-// are pure, so they are tested with injected calibrations — no timing
-// dependence.
+// The policy functions (select_error_engine, describe_exhaustive_cutoffs,
+// tally_error_engines) are pure, so they are tested at their exact
+// boundaries with no timing dependence.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,7 +34,6 @@
 #include "core/kernels_sliced.h"
 #include "dse/evaluator.h"
 #include "dse/sweep.h"
-#include "error/calibrate.h"
 #include "error/evaluate.h"
 #include "error/evaluate_sliced.h"
 #include "serve/service.h"
@@ -128,7 +124,6 @@ TEST(EvalThreading, ServiceThreadCountBoundedUnderConcurrentRequests) {
     serve::ServiceOptions opts;
     opts.eval_threads = 2;
     opts.request_workers = 2;
-    opts.auto_exhaustive = false;  // no calibration cost in this test
     serve::SweepService service(opts);
     const unsigned baseline = count_threads();
 
@@ -154,60 +149,6 @@ TEST(EvalThreading, ServiceThreadCountBoundedUnderConcurrentRequests) {
     service.shutdown();
 }
 
-// ------------------------------------------------------ cutoff resolution ----
-
-TEST(CutoffResolution, BudgetWidthsPerPath) {
-    // Injected calibration, 1 s budget: cutoff = largest width whose full
-    // 4^w-pair sweep fits the budget at the measured rate.
-    EngineCalibration cal;
-    cal.accurate_ns = 1.0;  // 4^14 = 2.7e8 ops fits 1e9 ns, 4^15 does not
-    cal.fast2_ns = 4.0;     // 4^13 fits 2.5e8-op budget
-    cal.planned_ns = 16.0;  // 4^12 fits 6.25e7
-    cal.sliced_ns = 0.25;   // 4^15 fits 4e9, 4^16 does not
-    const ExhaustiveCutoffs cut = resolve_exhaustive_cutoffs(cal, 10, 1000.0);
-    EXPECT_EQ(cut.accurate, 14);
-    EXPECT_EQ(cut.fast2, 13);
-    EXPECT_EQ(cut.planned, 12);
-    EXPECT_EQ(cut.sliced, 15);
-
-    // Pure: same inputs, same result.
-    const ExhaustiveCutoffs again = resolve_exhaustive_cutoffs(cal, 10, 1000.0);
-    EXPECT_EQ(again.accurate, cut.accurate);
-    EXPECT_EQ(again.sliced, cut.sliced);
-}
-
-TEST(CutoffResolution, NeverDemotesAndClampsTo16) {
-    EngineCalibration cal;
-    cal.accurate_ns = 1e9;  // absurdly slow: stays at the floor
-    cal.fast2_ns = 1e-9;    // absurdly fast: clamps at width 16
-    cal.planned_ns = 0.0;   // unmeasured: stays at the floor
-    cal.sliced_ns = -1.0;   // nonsense: stays at the floor
-    const ExhaustiveCutoffs cut = resolve_exhaustive_cutoffs(cal, 10, 2000.0);
-    EXPECT_EQ(cut.accurate, 10);
-    EXPECT_EQ(cut.fast2, 16);
-    EXPECT_EQ(cut.planned, 10);
-    EXPECT_EQ(cut.sliced, 10);
-
-    // A zero budget cannot demote below the floor either.
-    const ExhaustiveCutoffs zero = resolve_exhaustive_cutoffs(cal, 12, 0.0);
-    EXPECT_EQ(zero.accurate, 12);
-    EXPECT_EQ(zero.fast2, 12);
-}
-
-TEST(CutoffResolution, MeasuredCalibrationIsSane) {
-    // The real measurement: positive rates, and the sliced engine beats
-    // the scalar planned path on any machine this runs on (64 lanes per
-    // bitwise op vs one product per call).
-    const EngineCalibration& cal = engine_calibration();
-    EXPECT_GT(cal.accurate_ns, 0.0);
-    EXPECT_GT(cal.fast2_ns, 0.0);
-    EXPECT_GT(cal.planned_ns, 0.0);
-    EXPECT_GT(cal.sliced_ns, 0.0);
-    EXPECT_LT(cal.sliced_ns, cal.planned_ns);
-    // Lazy singleton: same object, no re-measurement.
-    EXPECT_EQ(&engine_calibration(), &cal);
-}
-
 // -------------------------------------------------------- engine selection ----
 
 MultiplierConfig make_config(int width, int depth, MultiplierVariant variant) {
@@ -218,19 +159,19 @@ MultiplierConfig make_config(int width, int depth, MultiplierVariant variant) {
     return cfg;
 }
 
-TEST(EngineSelection, DefaultsFollowFixedCutoff) {
-    const EvalOptions opts;  // exhaustive_max_width = 10, use_sliced = true
+TEST(EngineSelection, DefaultsFollowTheBudget) {
+    const EvalOptions opts;  // exhaustive_budget = 2^28, use_sliced = true
     EXPECT_EQ(select_error_engine(make_config(8, 3, MultiplierVariant::kSdlc), opts),
               ErrorEngine::kExhaustiveSliced);
-    EXPECT_EQ(select_error_engine(make_config(10, 2, MultiplierVariant::kCompensated), opts),
+    EXPECT_EQ(select_error_engine(make_config(14, 2, MultiplierVariant::kCompensated), opts),
               ErrorEngine::kExhaustiveSliced);
     // Not sliced-eligible: exact config runs the scalar accurate kernel.
-    EXPECT_EQ(select_error_engine(make_config(8, 2, MultiplierVariant::kAccurate), opts),
+    EXPECT_EQ(select_error_engine(make_config(14, 2, MultiplierVariant::kAccurate), opts),
               ErrorEngine::kExhaustiveScalar);
-    // Above the cutoff: sampled, for every path.
-    EXPECT_EQ(select_error_engine(make_config(12, 3, MultiplierVariant::kSdlc), opts),
+    // 4^15 pairs exceed the budget on every path.
+    EXPECT_EQ(select_error_engine(make_config(15, 3, MultiplierVariant::kSdlc), opts),
               ErrorEngine::kSampled);
-    EXPECT_EQ(select_error_engine(make_config(12, 2, MultiplierVariant::kAccurate), opts),
+    EXPECT_EQ(select_error_engine(make_config(15, 2, MultiplierVariant::kAccurate), opts),
               ErrorEngine::kSampled);
 }
 
@@ -239,96 +180,80 @@ TEST(EngineSelection, NoSlicedFallsBackToScalar) {
     opts.use_sliced = false;
     EXPECT_EQ(select_error_engine(make_config(8, 3, MultiplierVariant::kSdlc), opts),
               ErrorEngine::kExhaustiveScalar);
-    EXPECT_EQ(select_error_engine(make_config(12, 3, MultiplierVariant::kSdlc), opts),
-              ErrorEngine::kSampled);
-}
-
-TEST(EngineSelection, PerPathCutoffsPromoteIndependently) {
-    EvalOptions opts;
-    opts.exhaustive_width_accurate = 14;
-    opts.exhaustive_width_fast2 = 13;
-    opts.exhaustive_width_planned = 11;
-    opts.exhaustive_width_sliced = 14;
-    // Accurate path follows its own cutoff.
-    EXPECT_EQ(select_error_engine(make_config(14, 2, MultiplierVariant::kAccurate), opts),
-              ErrorEngine::kExhaustiveScalar);
-    EXPECT_EQ(select_error_engine(make_config(15, 2, MultiplierVariant::kAccurate), opts),
-              ErrorEngine::kSampled);
-    // Sliced-eligible configs follow the sliced cutoff.
+    // The planned path's weight (4) puts width 14 over the default budget,
+    // where the sliced engine's weight (1) fits it.
     EXPECT_EQ(select_error_engine(make_config(14, 3, MultiplierVariant::kSdlc), opts),
-              ErrorEngine::kExhaustiveSliced);
-    EXPECT_EQ(select_error_engine(make_config(15, 3, MultiplierVariant::kSdlc), opts),
               ErrorEngine::kSampled);
-    // fast2 (sdlc depth 2) is also sliced-eligible, so the sliced engine
-    // carries it up to max(sliced, fast2) = 14.
-    EXPECT_EQ(select_error_engine(make_config(14, 2, MultiplierVariant::kSdlc), opts),
-              ErrorEngine::kExhaustiveSliced);
-
-    // With sliced disabled, a width inside the scalar-path cutoff must
-    // still run scalar exhaustive — never demoted to sampling.
-    opts.use_sliced = false;
-    EXPECT_EQ(select_error_engine(make_config(13, 2, MultiplierVariant::kSdlc), opts),
-              ErrorEngine::kExhaustiveScalar);
-    opts.use_sliced = true;
-
-    // Conversely, a scalar cutoff above the sliced one promotes the
-    // sliced engine too: the choice of engine never makes a point
-    // *sampled* that the scalar path would have run exhaustive.
-    EvalOptions wide;
-    wide.exhaustive_width_planned = 12;
-    wide.exhaustive_width_sliced = 10;
-    EXPECT_EQ(select_error_engine(make_config(12, 4, MultiplierVariant::kSdlc), wide),
-              ErrorEngine::kExhaustiveSliced);
 }
 
-TEST(EngineSelection, DescribeCutoffs) {
+TEST(EngineSelection, BudgetBoundaries) {
+    const uint64_t pairs10 = uint64_t{1} << 20;  // 4^10
+    const auto engine = [](int width, int depth, MultiplierVariant variant, uint64_t budget,
+                           bool use_sliced = true) {
+        EvalOptions opts;
+        opts.exhaustive_budget = budget;
+        opts.use_sliced = use_sliced;
+        return select_error_engine(make_config(width, depth, variant), opts);
+    };
+    const auto sdlc = MultiplierVariant::kSdlc;
+    const auto accurate = MultiplierVariant::kAccurate;
+
+    // Weight 1 (sliced, accurate): exhaustive exactly at 4^w, sampled one below.
+    EXPECT_EQ(engine(10, 3, sdlc, pairs10), ErrorEngine::kExhaustiveSliced);
+    EXPECT_EQ(engine(10, 3, sdlc, pairs10 - 1), ErrorEngine::kSampled);
+    EXPECT_EQ(engine(10, 2, accurate, pairs10), ErrorEngine::kExhaustiveScalar);
+    EXPECT_EQ(engine(10, 2, accurate, pairs10 - 1), ErrorEngine::kSampled);
+
+    // use_sliced = false charges the config's scalar path: fast2 (sdlc
+    // depth 2) and planned (deeper) weigh 4.
+    EXPECT_EQ(engine(10, 2, sdlc, 4 * pairs10, false), ErrorEngine::kExhaustiveScalar);
+    EXPECT_EQ(engine(10, 2, sdlc, 4 * pairs10 - 1, false), ErrorEngine::kSampled);
+    EXPECT_EQ(engine(10, 3, sdlc, 4 * pairs10, false), ErrorEngine::kExhaustiveScalar);
+    EXPECT_EQ(engine(10, 3, sdlc, 4 * pairs10 - 1, false), ErrorEngine::kSampled);
+    EXPECT_EQ(engine(10, 3, sdlc, pairs10, false), ErrorEngine::kSampled);
+    // The same fast2 config with the sliced engine on is charged weight 1.
+    EXPECT_EQ(engine(10, 2, sdlc, pairs10), ErrorEngine::kExhaustiveSliced);
+
+    // Budget 0 always samples, even the smallest width.
+    EXPECT_EQ(engine(2, 2, sdlc, 0), ErrorEngine::kSampled);
+    EXPECT_EQ(engine(2, 1, accurate, 0), ErrorEngine::kSampled);
+
+    // Width 16 is the cap: inclusive, and no budget lifts width 17.
+    const uint64_t huge = UINT64_MAX;
+    EXPECT_EQ(engine(16, 3, sdlc, huge), ErrorEngine::kExhaustiveSliced);
+    EXPECT_EQ(engine(16, 3, sdlc, huge, false), ErrorEngine::kExhaustiveScalar);
+    EXPECT_EQ(engine(17, 3, sdlc, huge), ErrorEngine::kSampled);
+    EXPECT_EQ(engine(17, 2, accurate, huge), ErrorEngine::kSampled);
+
     EvalOptions opts;
-    EXPECT_EQ(describe_exhaustive_cutoffs(opts), "fixed(10)");
-    opts.exhaustive_max_width = 8;
-    EXPECT_EQ(describe_exhaustive_cutoffs(opts), "fixed(8)");
-    opts.exhaustive_width_accurate = 14;
-    opts.exhaustive_width_fast2 = 13;
-    opts.exhaustive_width_planned = 12;
-    opts.exhaustive_width_sliced = 14;
+    opts.exhaustive_budget = 0;
+    EXPECT_EQ(describe_exhaustive_cutoffs(opts), "budget(accurate=0,fast2=0,planned=0,sliced=0)");
+    opts.exhaustive_budget = huge;
     EXPECT_EQ(describe_exhaustive_cutoffs(opts),
-              "auto(accurate=14,fast2=13,planned=12,sliced=14)");
-    // Unset fields fall back to the fixed cutoff in the description, same
-    // as in selection.
-    opts.exhaustive_width_planned = 0;
+              "budget(accurate=16,fast2=16,planned=16,sliced=16)");
+    opts.exhaustive_budget = 4 * pairs10 - 1;
     EXPECT_EQ(describe_exhaustive_cutoffs(opts),
-              "auto(accurate=14,fast2=13,planned=8,sliced=14)");
+              "budget(accurate=10,fast2=9,planned=9,sliced=10)");
 }
 
-TEST(EngineSelection, ApplyAutoExhaustiveGating) {
-    // Pinned requests (any per-path width set) are left untouched: the
-    // submitter already resolved or fixed the cutoffs.
-    SweepSpec wide;
-    wide.widths = {12};
-    EvalOptions pinned;
-    pinned.exhaustive_width_sliced = 11;
-    apply_auto_exhaustive(pinned, wide, 2000.0);
-    EXPECT_EQ(pinned.exhaustive_width_accurate, 0);
-    EXPECT_EQ(pinned.exhaustive_width_sliced, 11);
-
-    // Sweeps entirely at or below the fixed cutoff: no-op (and no
-    // calibration cost) — promotion could not change any engine choice.
-    SweepSpec small;
-    small.widths = {4, 8};
-    EvalOptions untouched;
-    apply_auto_exhaustive(untouched, small, 2000.0);
-    EXPECT_EQ(untouched.exhaustive_width_accurate, 0);
-    EXPECT_EQ(untouched.exhaustive_width_sliced, 0);
-    EXPECT_EQ(describe_exhaustive_cutoffs(untouched), "fixed(10)");
-
-    // A sweep above the cutoff resolves all four paths; never below the
-    // floor (auto only promotes).
-    EvalOptions resolved;
-    apply_auto_exhaustive(resolved, wide, 1000.0);
-    EXPECT_GE(resolved.exhaustive_width_accurate, resolved.exhaustive_max_width);
-    EXPECT_GE(resolved.exhaustive_width_fast2, resolved.exhaustive_max_width);
-    EXPECT_GE(resolved.exhaustive_width_planned, resolved.exhaustive_max_width);
-    EXPECT_GE(resolved.exhaustive_width_sliced, resolved.exhaustive_max_width);
-    EXPECT_EQ(describe_exhaustive_cutoffs(resolved).rfind("auto(", 0), 0u);
+TEST(EngineSelection, DefaultBudgetIsMachineIndependent) {
+    // The default options alone decide every engine: the default width-8
+    // and width-12 sweeps run exhaustive, the width-16 sweep samples.
+    const EvalOptions opts;
+    const struct {
+        int width;
+        size_t sliced, scalar, sampled;
+    } expected[] = {{8, 56, 4, 0}, {12, 88, 4, 0}, {16, 0, 0, 124}};
+    for (const auto& e : expected) {
+        SCOPED_TRACE(e.width);
+        const ErrorEngineTally t =
+            tally_error_engines(SweepSpec::for_width(e.width).enumerate(), opts);
+        EXPECT_EQ(t.sliced, e.sliced);
+        EXPECT_EQ(t.scalar, e.scalar);
+        EXPECT_EQ(t.sampled, e.sampled);
+    }
+    EXPECT_EQ(describe_exhaustive_cutoffs(opts),
+              "budget(accurate=14,fast2=13,planned=13,sliced=14)");
 }
 
 TEST(EngineSelection, TallyMatchesSelection) {
@@ -381,7 +306,7 @@ TEST(EngineSelection, SweepResultsIdenticalWithAndWithoutSliced) {
     EXPECT_EQ(without_stats.engines.sliced, 0u);
     EXPECT_EQ(with_stats.engines.sliced + with_stats.engines.scalar,
               without_stats.engines.scalar);
-    EXPECT_EQ(with_stats.cutoff_desc, "fixed(10)");
+    EXPECT_EQ(with_stats.cutoff_desc, "budget(accurate=14,fast2=13,planned=13,sliced=14)");
 }
 
 }  // namespace

@@ -145,6 +145,24 @@ check_exit "sdlc misspelled option" 2 $?
 "$sdlc" eval --width 6x --depth 2 >/dev/null 2>&1
 check_exit "sdlc numeric option with trailing junk" 2 $?
 
+# Sample counts outside [1, 2^32] are usage errors: 0 would export a fake
+# perfect design, and more than the widest exhaustive sweep's pairs only
+# buys a longer wait. The retired cutoff flags are unknown keys.
+"$dse" --samples 0 >/dev/null 2>&1
+check_exit "dse_tool zero samples" 2 $?
+"$dse" --samples 4294967297 >/dev/null 2>&1
+check_exit "dse_tool samples above 2^32" 2 $?
+"$sdlc" eval --width 6 --depth 2 --samples 0 >/dev/null 2>&1
+check_exit "sdlc zero samples" 2 $?
+"$sdlc" eval --width 6 --depth 2 --samples 4294967297 >/dev/null 2>&1
+check_exit "sdlc samples above 2^32" 2 $?
+"$dse" --exhaustive-max-width 12 >/dev/null 2>&1
+check_exit "removed --exhaustive-max-width flag" 2 $?
+"$dse" --no-auto-exhaustive >/dev/null 2>&1
+check_exit "removed dse_tool --no-auto-exhaustive flag" 2 $?
+"$tool" --no-auto-exhaustive </dev/null 2>/dev/null
+check_exit "removed serve_tool --no-auto-exhaustive flag" 2 $?
+
 # Cluster flag usage contract, serve_tool: malformed worker specs, shard
 # knobs without a worker list, and cluster flags in client/scrape mode are
 # usage errors (2) before anything binds or runs.

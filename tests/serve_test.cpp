@@ -111,7 +111,7 @@ TEST(ServeProtocol, FullSweepRequestParses) {
         "{\"id\": \"r2\", \"type\": \"sweep\","
         " \"spec\": {\"widths\": [4, 5], \"min_depth\": 2, \"max_depth\": 3,"
         "  \"variants\": [\"sdlc\", \"compensated\"], \"schemes\": [\"wallace\"]},"
-        " \"eval\": {\"seed\": \"0xabc\", \"samples\": 1000, \"exhaustive_max_width\": 6,"
+        " \"eval\": {\"seed\": \"0xabc\", \"samples\": 1000, \"exhaustive_budget\": \"4096\","
         "  \"dist\": \"sparse\", \"hardware\": false, \"hw_cache\": false},"
         " \"objectives\": [\"error\", \"energy\", \"maxred\"],"
         " \"stream_points\": false, \"export\": true}";
@@ -126,7 +126,7 @@ TEST(ServeProtocol, FullSweepRequestParses) {
                                               MultiplierVariant::kCompensated}));
     EXPECT_EQ(req.eval.seed, 0xabcu);
     EXPECT_EQ(req.eval.samples, 1000u);
-    EXPECT_EQ(req.eval.exhaustive_max_width, 6);
+    EXPECT_EQ(req.eval.exhaustive_budget, 4096u);
     EXPECT_EQ(req.eval.distribution, OperandDistribution::kSparse);
     EXPECT_FALSE(req.eval.evaluate_hardware);
     EXPECT_FALSE(req.eval.use_hw_cache);
@@ -156,6 +156,16 @@ TEST(ServeProtocol, StrictRejection) {
          "invalid_request"},  // 2^64: out of range must not clamp
         {"{\"id\": \"r\", \"eval\": {\"seed\": \" 42\"}}", "invalid_request"},
         {"{\"id\": \"r\", \"eval\": {\"seed\": \"+42\"}}", "invalid_request"},
+        // samples outside [1, 2^32]: 0 would report a perfect design, more
+        // than the widest exhaustive sweep's pairs only a longer wait.
+        {"{\"id\": \"r\", \"eval\": {\"samples\": 0}}", "invalid_request"},
+        {"{\"id\": \"r\", \"eval\": {\"samples\": \"4294967297\"}}", "invalid_request"},
+        {"{\"id\": \"r\", \"eval\": {\"samples\": \"1000000000000\"}}", "invalid_request"},
+        {"{\"id\": \"r\", \"eval\": {\"exhaustive_budget\": -1}}", "invalid_request"},
+        // Retired cutoff keys are unknown keys.
+        {"{\"id\": \"r\", \"eval\": {\"exhaustive_max_width\": 12}}", "invalid_request"},
+        {"{\"id\": \"r\", \"eval\": {\"exhaustive_widths\": {\"sliced\": 14}}}",
+         "invalid_request"},
         {"{\"id\": \"r\", \"deadline_ms\": 0}", "invalid_request"},
         {"{\"id\": \"r\", \"deadline_ms\": -5}", "invalid_request"},
         // > 1e9 ms would overflow steady_clock arithmetic downstream.
@@ -236,6 +246,26 @@ TEST(SweepService, MalformedAndOversizedLinesGetStructuredErrors) {
     events = invalid->wait_done();
     ASSERT_EQ(events.size(), 2u);
     EXPECT_EQ(parse_event(events[0]).find("code")->string, "invalid_request");
+}
+
+TEST(SweepService, WideRequestAnswersAtOnceWhateverItsBudget) {
+    // Width 24 is above the exhaustive width cap, so even the largest
+    // budget samples its one point instead of enumerating 2^48 pairs: the
+    // request answers well inside its deadline.
+    SweepService service;
+    auto sink = std::make_shared<RecordingSink>();
+    ASSERT_TRUE(service.submit_line(
+        "{\"id\": \"w24\", \"spec\": {\"width\": 24, \"min_depth\": 2, \"max_depth\": 2,"
+        " \"variants\": [\"sdlc\"], \"schemes\": [\"ripple\"]},"
+        " \"eval\": {\"exhaustive_budget\": \"18446744073709551615\", \"hardware\": false},"
+        " \"deadline_ms\": 500}",
+        sink));
+    std::vector<std::string> kinds;
+    for (const std::string& line : sink->wait_done()) {
+        kinds.push_back(event_kind(parse_event(line)));
+    }
+    EXPECT_EQ(kinds, (std::vector<std::string>{"accepted", "point", "summary", "done"}));
+    EXPECT_TRUE(parse_event(sink->lines().back()).find("ok")->boolean);
 }
 
 TEST(SweepService, SharedCacheHitsGrowAcrossRequests) {

@@ -3,7 +3,7 @@
 //   dse_tool [--width N | --widths A-B] [--depth-min D] [--depth-max D]
 //            [--variants v,v,...] [--schemes s,s,...]
 //            [--threads N] [--seed S] [--samples K] [--dist uniform|gaussian|sparse]
-//            [--exhaustive-max-width W] [--no-hw-cache] [--repeat K]
+//            [--exhaustive-budget N] [--no-hw-cache] [--repeat K]
 //            [--objectives o,o,...] [--frontier] [--top K] [--by OBJ]
 //            [--max-nmed X] [--max-mred X] [--max-area X] [--max-power X]
 //            [--max-delay X]
@@ -66,15 +66,18 @@ using cli::Args;
         "  evaluation:\n"
         "    --threads N          worker threads (default: hardware)\n"
         "    --seed S             base RNG seed (default 0x5d1c5eed)\n"
-        "    --samples K          Monte-Carlo samples for wide operands\n"
+        "    --samples K          Monte-Carlo samples per sampled function, in\n"
+        "                         [1, 2^32] (default 2^18)\n"
         "    --dist D             uniform|gaussian|sparse sampling distribution\n"
-        "    --exhaustive-max-width W  exhaustive error sweep cutoff (default 10);\n"
-        "                         setting it pins the fixed cutoff and disables the\n"
-        "                         auto time-budget promotion\n"
+        "    --exhaustive-budget N  weighted operand pairs an exhaustive error sweep\n"
+        "                         may cost: a function runs exhaustive iff width <= 16\n"
+        "                         and 4^width x its engine's weight (sliced and\n"
+        "                         accurate 1, fast2 and planned 4) <= N, else it is\n"
+        "                         sampled; 0 = always sample (default 2^28:\n"
+        "                         exhaustive through width 13 or 14)\n"
         "    --no-sliced          force the scalar exhaustive engine (bit-identical\n"
-        "                         results; the sliced engine is speed only)\n"
-        "    --no-auto-exhaustive disable the per-path time-budget cutoff promotion\n"
-        "                         (pin the fixed --exhaustive-max-width behavior)\n"
+        "                         results wherever the scalar path's weight still\n"
+        "                         fits the budget; the sliced engine is speed only)\n"
         "    --no-hw-cache        disable the content-keyed synthesis cache\n"
         "    --repeat K           evaluate the sweep K times (warm-cache runs);\n"
         "                         exits 1 unless all runs are bit-identical\n"
@@ -110,10 +113,10 @@ Args parse_args(int argc, char** argv) {
         "--schemes",   "--threads",   "--seed",      "--samples",    "--dist",
         "--top",       "--by",        "--max-nmed",  "--max-mred",   "--max-area",
         "--max-power", "--max-delay", "--csv",       "--json",       "--repeat",
-        "--objectives", "--trace-out", "--exhaustive-max-width"};
+        "--objectives", "--trace-out", "--exhaustive-budget"};
     value_keys.insert(cluster::kClusterFlags.begin(), cluster::kClusterFlags.end());
     return Args(argc, argv, 1, value_keys,
-                {"--frontier", "--no-hw-cache", "--no-sliced", "--no-auto-exhaustive"});
+                {"--frontier", "--no-hw-cache", "--no-sliced"});
 }
 
 std::vector<std::string> split_commas(const std::string& list) {
@@ -168,8 +171,11 @@ EvalOptions options_from(const Args& args) {
     EvalOptions opts;
     opts.threads = static_cast<unsigned>(args.get_int("--threads", 0));
     opts.seed = args.get_uint64("--seed", 0x5d1c5eed);
-    opts.samples = args.get_uint64("--samples", uint64_t{1} << 18);
-    opts.exhaustive_max_width = args.get_int("--exhaustive-max-width", 10);
+    opts.samples = args.get_uint64("--samples", opts.samples);
+    if (opts.samples < 1 || opts.samples > kMaxSamples) {
+        usage("--samples must be in [1, " + std::to_string(kMaxSamples) + "]");
+    }
+    opts.exhaustive_budget = args.get_uint64("--exhaustive-budget", kDefaultExhaustiveBudget);
     const std::string dist = args.get("--dist", "uniform");
     if (dist == "uniform") opts.distribution = OperandDistribution::kUniform;
     else if (dist == "gaussian") opts.distribution = OperandDistribution::kGaussian;
@@ -178,16 +184,6 @@ EvalOptions options_from(const Args& args) {
     opts.use_hw_cache = !args.flag("--no-hw-cache");
     opts.use_sliced = !args.flag("--no-sliced");
     return opts;
-}
-
-/// Tool-edge cutoff resolution: calibrate once and fill the per-path
-/// exhaustive widths, unless the user pinned the fixed cutoff (explicitly
-/// or via --no-auto-exhaustive). Resolved integers then travel with the
-/// options — including into cluster shard sub-requests — so every replica
-/// runs the same engine per point.
-void resolve_cutoffs_from(const Args& args, const SweepSpec& spec, EvalOptions& opts) {
-    if (args.flag("--no-auto-exhaustive") || args.has("--exhaustive-max-width")) return;
-    apply_auto_exhaustive(opts, spec, kAutoExhaustiveBudgetMs);
 }
 
 /// Bit-exact equality of two evaluated sweeps (the determinism contract of
@@ -239,8 +235,8 @@ int main(int argc, char** argv) {
     try {
         const Args args = parse_args(argc, argv);
         if (args.help()) usage();
-        // Every flag is validated before the cutoff calibration and the
-        // sweep run, so a usage error returns at once.
+        // Every flag is validated before the sweep runs, so a usage error
+        // returns at once.
         const SweepSpec spec = spec_from(args);
         EvalOptions opts = options_from(args);
         const Objective by = objective_from(args);
@@ -261,7 +257,6 @@ int main(int argc, char** argv) {
         }
         const cluster::ClusterOptions cluster = cluster::cluster_options_from(args);
         const bool clustered = !cluster.workers.empty();
-        resolve_cutoffs_from(args, spec, opts);
 
         // One cache shared across --repeat runs: run 1 is cold, the rest warm.
         CostCache cache;

@@ -18,6 +18,7 @@
 #include "analysis/expected_error.h"
 #include "api/approx_multiplier.h"
 #include "core/functional.h"
+#include "dse/evaluator.h"
 #include "error/evaluate.h"
 #include "image/convolve.h"
 #include "image/gaussian.h"
@@ -125,6 +126,10 @@ int cmd_eval(const Args& args) {
     const MultiplierConfig cfg = config_from(args);
     const ApproxMultiplier mul(cfg);
     auto f = [&mul](uint64_t a, uint64_t b) { return mul.multiply(a, b); };
+    const uint64_t samples = args.get_uint64("--samples", uint64_t{1} << 22);
+    if (samples < 1 || samples > kMaxSamples) {
+        usage("--samples must be in [1, " + std::to_string(kMaxSamples) + "]");
+    }
 
     ErrorMetrics m;
     std::string mode;
@@ -134,7 +139,6 @@ int cmd_eval(const Args& args) {
         m = exhaustive_metrics(cfg.width, f, std::thread::hardware_concurrency());
         mode = "exhaustive";
     } else {
-        const uint64_t samples = args.get_uint64("--samples", uint64_t{1} << 22);
         m = sampled_metrics(cfg.width, samples, 0x5eed, f);
         mode = "sampled " + std::to_string(samples);
     }

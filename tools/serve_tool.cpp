@@ -88,8 +88,6 @@ using cli::Args;
         "    --max-request-bytes N  reject longer request lines (default 1 MiB)\n"
         "    --reject-overload    answer a full queue with an `overloaded` error\n"
         "                         event instead of blocking the connection\n"
-        "    --no-auto-exhaustive disable the per-path time-budget cutoff promotion\n"
-        "                         for requests that did not pin their own cutoffs\n"
         "  observability (server modes):\n"
         "    --access-log FILE    append one JSON line per request (trace_id, verb,\n"
         "                         outcome, queue_wait_s, wall_s, bytes_out, flags)\n"
@@ -131,7 +129,7 @@ Args parse_args(int argc, char** argv) {
         "--http"};
     value_keys.insert(cluster::kClusterFlags.begin(), cluster::kClusterFlags.end());
     return Args(argc, argv, 1, value_keys,
-                {"--quiet", "--scrape", "--reject-overload", "--no-auto-exhaustive"});
+                {"--quiet", "--scrape", "--reject-overload"});
 }
 
 ServiceOptions service_options(const Args& args) {
@@ -147,7 +145,6 @@ ServiceOptions service_options(const Args& args) {
         opts.access_log = obs::AccessLog::open(path, &error);
         if (opts.access_log == nullptr) usage("--access-log: " + error);
     }
-    opts.auto_exhaustive = !args.flag("--no-auto-exhaustive");
     return opts;
 }
 
