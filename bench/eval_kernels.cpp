@@ -240,8 +240,7 @@ int main(int argc, char** argv) {
         // host a single run's time swings by tens of percent.
         for (int rep = 0; rep < kEngineReps; ++rep) {
             auto t0 = Clock::now();
-            const ErrorMetrics scalar_m = exhaustive_metrics(
-                cfg.width, [&](uint64_t a, uint64_t b) { return scalar(a, b); });
+            const ErrorMetrics scalar_m = exhaustive_metrics(cfg.width, scalar);
             const double scalar_s = std::chrono::duration<double>(Clock::now() - t0).count();
             t0 = Clock::now();
             const ErrorMetrics sliced_m = exhaustive_metrics_sliced(sliced);

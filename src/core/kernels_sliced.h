@@ -1,12 +1,13 @@
 // Lane-table evaluation of the planned sum-minus-OR path for exhaustive
 // sweeps: one block of 64 consecutive b values per call.
 //
-// The scalar planned path (core/kernels.h) evaluates one (a, b) pair per
-// call. Exhaustive error sweeps, however, iterate b densely for a fixed a,
-// in 64-aligned blocks b = b0 + l (l = 0..63). Inside such a block, B bits
-// 0..5 are the lane index l and B bits >= 6 are those of b0, shared by
-// every lane. Every cluster group's error (SUM - OR of its active rows'
-// windowed partial products, see core/kernels.h) therefore splits by row:
+// The scalar planned path (core/kernels.h) evaluates every row for every
+// pair of its block. Exhaustive error sweeps, however, iterate b densely
+// for a fixed a, in 64-aligned blocks b = b0 + l (l = 0..63). Inside such
+// a block, B bits 0..5 are the lane index l and B bits >= 6 are those of
+// b0, shared by every lane. Every cluster group's error (SUM - OR of its
+// active rows' windowed partial products, see core/kernels.h) therefore
+// splits by row:
 //
 //   - a low group (all rows < 6) depends on (a, l) only: prepare(a) tables
 //     its error per lane once per a;

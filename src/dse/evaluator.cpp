@@ -33,6 +33,8 @@ uint64_t function_seed(uint64_t base, const MultiplierConfig& c) {
     return SplitMix64(s).next();
 }
 
+static_assert(kPairChunk <= MultiplyKernel::kMaxBlock);
+
 uint64_t draw_operand(Xoshiro256& rng, uint64_t mask, OperandDistribution dist) {
     switch (dist) {
         case OperandDistribution::kUniform:
@@ -64,7 +66,8 @@ namespace {
 /// The exhaustive engine paths and their static cost weights: relative
 /// cost per operand pair, charged against EvalOptions::exhaustive_budget.
 /// Measured engine throughput on a 4-core x86 box, in ns per pair:
-/// accurate 2.2-2.8, sliced 3.7-5.6, fast2 9.3-15.8, planned 10.9-17.9.
+/// accurate 2.0-2.8, sliced 3.7-5.6, fast2 and planned (both the scalar
+/// block kernel's rows loop, the names only tell the paths apart) 11-23.
 /// Each width step costs 4x the pairs, so a weight only has to be right to
 /// within 4x to pick the same cutoff width; static weights therefore stay
 /// valid across machines, and a result never depends on one.
@@ -164,44 +167,55 @@ std::vector<size_t> function_group_bounds(const std::vector<MultiplierConfig>& c
 
 namespace {
 
-/// Error metrics of one configuration's function, recorded as an
-/// `error_eval` span (args: engine, pairs) under the thread's trace binding.
-/// `shard_pool` (may be null) spreads the exhaustive shard grid over
-/// existing workers; the grid is fixed, so the result is identical for
-/// every pool size.
+/// Throws SweepCancelled / SweepDeadlineExceeded once opts.cancel is set
+/// or opts.deadline has passed.
+void throw_if_stopped(const EvalOptions& opts) {
+    if (opts.cancel != nullptr && opts.cancel->load(std::memory_order_relaxed)) {
+        throw SweepCancelled();
+    }
+    if (opts.deadline != std::chrono::steady_clock::time_point{} &&
+        std::chrono::steady_clock::now() >= opts.deadline) {
+        throw SweepDeadlineExceeded();
+    }
+}
+
+}  // namespace
+
 ErrorMetrics evaluate_error(const MultiplierConfig& config, const EvalOptions& opts,
                             ThreadPool* shard_pool) {
     const ErrorEngine engine = select_error_engine(config, opts);
     const obs::TraceBinding& tb = obs::current_binding();
     obs::ScopedSpan span(tb.recorder, tb.ctx, "error_eval");
+    StopCheck stop;
+    if (opts.cancel != nullptr || opts.deadline != std::chrono::steady_clock::time_point{}) {
+        stop = [&opts] { throw_if_stopped(opts); };
+    }
     ErrorMetrics error;
     switch (engine) {
         case ErrorEngine::kExhaustiveSliced: {
             // 64-product blocks from per-lane tables; bit-identical to
             // the scalar engine below (enforced by exhaustive tests).
             const SlicedMultiplyKernel kernel(config);
-            error = exhaustive_metrics_sliced(kernel, /*max_threads=*/0, shard_pool);
+            error = exhaustive_metrics_sliced(kernel, /*max_threads=*/0, shard_pool, stop);
             break;
         }
         case ErrorEngine::kExhaustiveScalar: {
             // The kernel replaces the ApproxMultiplier software model on
             // the error path: bit-identical results, but the inner loop is
-            // a bit-trick or a precomputed strength-reduced plan instead of
-            // the ClusterPlan interpreter.
+            // the kernel's branch-free block evaluation instead of the
+            // ClusterPlan interpreter.
             const MultiplyKernel kernel(config);
-            error = exhaustive_metrics(
-                config.width, [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); },
-                /*max_threads=*/0, shard_pool);
+            error = exhaustive_metrics(config.width, kernel, /*max_threads=*/0, shard_pool, stop);
             break;
         }
         case ErrorEngine::kSampled: {
             const MultiplyKernel kernel(config);
             error = sampled_metrics(
-                config.width, opts.samples, function_seed(opts.seed, config),
-                [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); },
+                config.width, opts.samples, function_seed(opts.seed, config), kernel,
                 [&opts](Xoshiro256& rng, uint64_t mask) {
                     return draw_operand(rng, mask, opts.distribution);
-                });
+                },
+                stop);
             break;
         }
     }
@@ -209,6 +223,8 @@ ErrorMetrics evaluate_error(const MultiplierConfig& config, const EvalOptions& o
     span.arg("pairs", error.samples);
     return error;
 }
+
+namespace {
 
 /// Hardware cost of one configuration (a default report when hardware
 /// evaluation is off), synthesized through `cache` when non-null. Reports
@@ -303,18 +319,12 @@ std::vector<DesignPoint> evaluate_sweep(const SweepSpec& spec, const EvalOptions
     // order regardless of completion order.
     ShardMerger merger(lo, hi, opts.on_point);
 
-    const bool has_deadline = opts.deadline != std::chrono::steady_clock::time_point{};
     std::vector<uint64_t> hw_keys(configs.size(), 0);
     std::atomic<size_t> error_evals{0};
     parallel_for(*pool, groups, [&](size_t g) {
         ErrorMetrics error;
         for (size_t i = bounds[g]; i < bounds[g + 1]; ++i) {
-            if (opts.cancel != nullptr && opts.cancel->load(std::memory_order_relaxed)) {
-                throw SweepCancelled();
-            }
-            if (has_deadline && std::chrono::steady_clock::now() >= opts.deadline) {
-                throw SweepDeadlineExceeded();
-            }
+            throw_if_stopped(opts);
             obs::ScopedSpan eval_span(opts.recorder, opts.trace, "kernel_eval");
             obs::ScopedBinding binding(opts.recorder, eval_span.context());
             if (i == bounds[g]) {

@@ -14,8 +14,8 @@
 // Error evaluation dispatches to one of three engines (select_error_engine):
 // the sliced exhaustive engine (core/kernels_sliced.h, per-lane tables over
 // 64-pair blocks), the scalar exhaustive engine over core/kernels.h
-// (stateless bit-trick kernels where available, the strength-reduced
-// planned path otherwise), or seeded sampling over the same scalar kernels.
+// MultiplyKernel (the branch-free planned rows loop over 64-pair blocks,
+// compensation from tables), or seeded sampling over the same kernel.
 // All three feed ErrorAccumulator::add_block. Hardware cost is memoized in
 // a content-keyed CostCache shared across the sweep. The sliced engine and
 // the cache both produce results bit-identical to the scalar engine and the
@@ -117,15 +117,17 @@ struct EvalOptions {
     /// hook aborts the sweep and propagates out of evaluate_sweep.
     std::function<void(size_t index, const DesignPoint& point)> on_point;
     /// Cooperative cancellation: when non-null and set, workers stop
-    /// claiming points and evaluate_sweep throws SweepCancelled.
+    /// claiming points, a running error evaluation stops at its next check
+    /// point, and evaluate_sweep throws SweepCancelled.
     const std::atomic<bool>* cancel = nullptr;
-    /// Cooperative wall-clock budget: when set (non-epoch), workers stop
-    /// claiming points once the deadline passes and evaluate_sweep throws
-    /// SweepDeadlineExceeded. Checked at the same granularity as `cancel`
-    /// — between design points, never inside one — so a single very
-    /// expensive point can overshoot the budget by its own cost. Points
-    /// already reported through on_point stay reported: the partial stream
-    /// is always a strict prefix of the full enumeration-order stream.
+    /// Cooperative wall-clock budget: when set (non-epoch), evaluate_sweep
+    /// throws SweepDeadlineExceeded once the deadline passes. Checked at
+    /// the same points as `cancel`: before each design point and inside
+    /// its error evaluation, once per exhaustive shard and every 4096
+    /// samples (error/evaluate.h), so one expensive point overshoots by at
+    /// most a shard. A stopped point is never reported: the points already
+    /// reported through on_point form a strict prefix of the full
+    /// enumeration-order stream.
     std::chrono::steady_clock::time_point deadline{};
     /// Optional enumeration-index restriction: evaluate only the points at
     /// indices [shard_lo, shard_hi) of SweepSpec::enumerate() order — the
@@ -272,6 +274,19 @@ struct DesignPoint {
 /// lo >= hi.
 [[nodiscard]] std::vector<size_t> function_group_bounds(
     const std::vector<MultiplierConfig>& configs, size_t lo, size_t hi);
+
+/// Error metrics of one configuration's function on the engine
+/// select_error_engine picks, recorded as an `error_eval` span (args:
+/// engine, pairs) under the calling thread's trace binding. `shard_pool`
+/// (may be null: inline) spreads an exhaustive shard grid over its
+/// workers; the grid is fixed, so the result is identical for every pool
+/// size. Must not be called from a worker of `shard_pool`. The engines
+/// check opts.cancel and opts.deadline as they run (once per exhaustive
+/// shard, every 4096 samples) and throw SweepCancelled /
+/// SweepDeadlineExceeded instead of returning.
+[[nodiscard]] ErrorMetrics evaluate_error(const MultiplierConfig& config,
+                                          const EvalOptions& opts,
+                                          ThreadPool* shard_pool = nullptr);
 
 /// Evaluates one configuration (single-threaded; deterministic for a given
 /// EvalOptions regardless of the caller's threading, and bit-equal to the

@@ -1,18 +1,17 @@
 #include "error/evaluate_sliced.h"
 
-#include "error/evaluate.h"
-
 namespace sdlc {
 
 ErrorMetrics exhaustive_metrics_sliced(const SlicedMultiplyKernel& kernel,
-                                       unsigned max_threads, ThreadPool* pool) {
+                                       unsigned max_threads, ThreadPool* pool,
+                                       const StopCheck& stop) {
     const int width = kernel.config().width;
     const uint64_t side = uint64_t{1} << width;
     const unsigned shards =
         static_cast<unsigned>(std::min<uint64_t>(kExhaustiveShards, side));
     const unsigned lanes = kernel.natural_lanes();
     std::vector<ErrorAccumulator> accs(shards, ErrorAccumulator(width));
-    detail::run_sharded(shards, max_threads, pool, [&](unsigned s) {
+    detail::run_sharded(shards, max_threads, pool, stop, [&](unsigned s) {
         ErrorAccumulator& acc = accs[s];
         SlicedMultiplyKernel::Prepared prep;
         uint64_t exact[64], out[64];

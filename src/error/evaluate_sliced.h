@@ -14,19 +14,19 @@
 #define SDLC_ERROR_EVALUATE_SLICED_H
 
 #include "core/kernels_sliced.h"
+#include "error/evaluate.h"
 #include "error/metrics.h"
 
 namespace sdlc {
 
-class ThreadPool;
-
 /// Exhaustive metrics over every operand pair of the kernel's width.
-/// Threading contract matches exhaustive_metrics(): inline by default,
-/// shards over `pool` when provided, dedicated threads only for an
-/// explicit max_threads > 1.
+/// Threading and interruption contract match exhaustive_metrics(): inline
+/// by default, shards over `pool` when provided, dedicated threads only
+/// for an explicit max_threads > 1, and `stop` runs before each shard.
 [[nodiscard]] ErrorMetrics exhaustive_metrics_sliced(const SlicedMultiplyKernel& kernel,
                                                      unsigned max_threads = 0,
-                                                     ThreadPool* pool = nullptr);
+                                                     ThreadPool* pool = nullptr,
+                                                     const StopCheck& stop = {});
 
 }  // namespace sdlc
 

@@ -22,11 +22,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/approx_multiplier.h"
@@ -81,8 +83,7 @@ TEST(EvalThreading, DefaultCallsSpawnNoThreads) {
     std::atomic<bool> running{true};
     pool.submit([&] {
         for (int i = 0; i < 50; ++i) {
-            (void)exhaustive_metrics(config.width,
-                                     [&](uint64_t a, uint64_t b) { return scalar(a, b); });
+            (void)exhaustive_metrics(config.width, scalar);
             (void)exhaustive_metrics_sliced(sliced);
         }
         running.store(false);
@@ -97,14 +98,12 @@ TEST(EvalThreading, DefaultCallsSpawnNoThreads) {
 TEST(EvalThreading, PoolShardingIdenticalAndExplicitThreadsStillWork) {
     const MultiplierConfig config = sdlc_config(7, 2);
     const MultiplyKernel kernel(config);
-    const auto f = [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); };
-
-    const ErrorMetrics inline_m = exhaustive_metrics(config.width, f);
+    const ErrorMetrics inline_m = exhaustive_metrics(config.width, kernel);
     ThreadPool pool(3);
-    EXPECT_EQ(exhaustive_metrics(config.width, f, 0, &pool), inline_m);
+    EXPECT_EQ(exhaustive_metrics(config.width, kernel, 0, &pool), inline_m);
     // Explicit worker counts are the CLI escape hatch; still bit-identical.
-    EXPECT_EQ(exhaustive_metrics(config.width, f, 4), inline_m);
-    EXPECT_EQ(exhaustive_metrics(config.width, f, 1), inline_m);
+    EXPECT_EQ(exhaustive_metrics(config.width, kernel, 4), inline_m);
+    EXPECT_EQ(exhaustive_metrics(config.width, kernel, 1), inline_m);
 }
 
 TEST(EvalThreading, ServiceThreadCountBoundedUnderConcurrentRequests) {
@@ -307,6 +306,154 @@ TEST(EngineSelection, SweepResultsIdenticalWithAndWithoutSliced) {
     EXPECT_EQ(with_stats.engines.sliced + with_stats.engines.scalar,
               without_stats.engines.scalar);
     EXPECT_EQ(with_stats.cutoff_desc, "budget(accurate=14,fast2=13,planned=13,sliced=14)");
+}
+
+// ------------------------------------------------------ sampled engine pins ----
+
+TEST(SampledPins, DefaultOptionsWidth16) {
+    // The sampled ErrorMetrics of default EvalOptions (2^18 samples, the
+    // default seed) at width 16, recorded before the block kernel existed:
+    // the block engine draws the same pairs in the same order, so every
+    // metric is bit-equal. Covers the depth-2 path, deep groups and
+    // compensation tables across one and two chunks, under every draw.
+    const struct {
+        int depth;
+        MultiplierVariant variant;
+        OperandDistribution dist;
+        ErrorMetrics m;
+    } pins[] = {
+    {2, MultiplierVariant::kSdlc, OperandDistribution::kUniform,
+     {0x1.7a4effa34531ap-9, 0x1.fcf952779p+19, 0x1.fcfd4c702be31p-13, 0x1.ad808p-1, 0x1.539c374bdb302p-2, 15405186u, 262144u, -0x1.fcf952779p+19, 0x1.04f68d559a708p+21}},
+    {5, MultiplierVariant::kSdlc, OperandDistribution::kUniform,
+     {0x1.9222cb5480c0bp-6, 0x1.45132dc1dbp+23, 0x1.4515b7ec05c25p-9, 0x1.f8e38p-1, 0x1.eb12ab75ab79cp-2, 85042388u, 262144u, -0x1.45132dc1dbp+23, 0x1.d618bc05e345ap+23}},
+    {12, MultiplierVariant::kSdlc, OperandDistribution::kUniform,
+     {0x1.04a15abefabccp-3, 0x1.54dd31c643p+27, 0x1.54dfdb84a5297p-5, 0x1.feafp-1, 0x1.fd7e5e96a4a83p-2, 1998345032u, 262144u, -0x1.54dd31c643p+27, 0x1.4e5e89684228p+28}},
+    {3, MultiplierVariant::kCompensated, OperandDistribution::kUniform,
+     {0x1.690a9be27d73dp-7, 0x1.ded4c2e06p+19, 0x1.ded8808f82468p-13, 0x1.ee588p-1, 0x1.bc09c6c2bd60ep+6, 9397396u, 262144u, 0x1.ea6da1bap+16, 0x1.549580988729ap+20}},
+    {10, MultiplierVariant::kCompensated, OperandDistribution::kUniform,
+     {0x1.281b1570a01b6p+0, 0x1.446c7b43d65p+27, 0x1.446f04209a223p-5, 0x1.ff64p-1, 0x1.22b9236685134p+13, 1154426708u, 262144u, 0x1.2a6441a1a2cp+25, 0x1.faf0c65ab116p+27}},
+    {16, MultiplierVariant::kCompensated, OperandDistribution::kUniform,
+     {0x1.36e9653037cd9p+0, 0x1.5347795c208p+27, 0x1.534a1fef0d14p-5, 0x1.ffddp-1, 0x1.43e23339b24f6p+13, 1138420180u, 262144u, 0x1.98fc4d55d68p+25, 0x1.0384e19948c2ap+28}},
+    {2, MultiplierVariant::kSdlc, OperandDistribution::kGaussian,
+     {0x1.58930bc9397a2p-11, 0x1.2919b133p+19, 0x1.291c0369ddb7cp-13, 0x1.a258p-1, 0x1.08eeb818a32dcp-4, 12558200u, 262144u, -0x1.2919b133p+19, 0x1.37cefdc416d92p+20}},
+    {5, MultiplierVariant::kSdlc, OperandDistribution::kGaussian,
+     {0x1.9229c8b5ede7cp-7, 0x1.406672a9a3p+23, 0x1.4068f37a498bap-9, 0x1.f882p-1, 0x1.5a820a8701aaap-2, 83035178u, 262144u, -0x1.406672a9a3p+23, 0x1.d627b884335aap+23}},
+    {12, MultiplierVariant::kSdlc, OperandDistribution::kGaussian,
+     {0x1.73240b07a8807p-4, 0x1.6dd71a30214p+26, 0x1.6dd9f5e29f2b5p-6, 0x1.fef6p-1, 0x1.d95ce0ef7f08bp-2, 1063605760u, 262144u, -0x1.6dd71a30214p+26, 0x1.2537c591076b6p+27}},
+    {3, MultiplierVariant::kCompensated, OperandDistribution::kGaussian,
+     {0x1.38e12c08dd0fcp-10, 0x1.ed08c2f3cp+19, 0x1.ed0c9d0b0d098p-13, 0x1.ee1a8p-1, 0x1.b7c07e7fd1589p-5, 8520268u, 262144u, 0x1.3d0e3355p+17, 0x1.617f4bb178498p+20}},
+    {10, MultiplierVariant::kCompensated, OperandDistribution::kGaussian,
+     {0x1.a528de1c2e16cp-4, 0x1.6c982c5abcep+26, 0x1.6c9b058f5b63bp-6, 0x1.ffa6p-1, 0x1.0954208b8ff23p+2, 869957936u, 262144u, 0x1.c3060e1ce8cp+25, 0x1.fab95ed1122cp+26}},
+    {16, MultiplierVariant::kCompensated, OperandDistribution::kGaussian,
+     {0x1.d1dc3c1613c81p-4, 0x1.8a6f012fb6cp+26, 0x1.8a7216125872ap-6, 0x1.fff08p-1, 0x1.b1b88b2d51dafp+1, 833100476u, 262144u, 0x1.1434f439a18p+26, 0x1.0ffbae7e85952p+27}},
+    {2, MultiplierVariant::kSdlc, OperandDistribution::kSparse,
+     {0x1.5a573a59cc84cp-9, 0x1.fdcb37a4p+15, 0x1.fdcf334068b1ap-17, 0x1.84dcp-3, 0x1.4a4844f6ed21fp-2, 12255232u, 262144u, -0x1.fdcb37a4p+15, 0x1.98c16f7a69007p+18}},
+    {5, MultiplierVariant::kSdlc, OperandDistribution::kSparse,
+     {0x1.af315ec37a28dp-7, 0x1.80be50c1ap+19, 0x1.80c15242c3c43p-13, 0x1.e444p-2, 0x1.da1a9b9da1a9cp-2, 63569920u, 262144u, -0x1.80be50c1ap+19, 0x1.44cf66a1f601p+21}},
+    {12, MultiplierVariant::kSdlc, OperandDistribution::kSparse,
+     {0x1.e373b59d85ae3p-6, 0x1.7720724b16p+23, 0x1.772360905ffd6p-9, 0x1.4cd98p-1, 0x1.df786659744d2p-2, 1813381120u, 262144u, -0x1.7720724b16p+23, 0x1.fbd6c6c8a5bfep+25}},
+    {3, MultiplierVariant::kCompensated, OperandDistribution::kSparse,
+     {0x1.3c02a80cb1533p+0, 0x1.3ee6bad18p+18, 0x1.3ee938a2b25c3p-14, 0x1.1fbep-1, 0x1.a7b9611a7b961p+12, 5423104u, 262144u, 0x1.1200c26a4p+18, 0x1.34d0849a873dcp+19}},
+    {10, MultiplierVariant::kCompensated, OperandDistribution::kSparse,
+     {0x1.991cfcf748ae8p+4, 0x1.937f19674a8p+25, 0x1.9382406a37d23p-7, 0x1.ba298p-1, 0x1.ad54b87deb0c7p+13, 1055883776u, 262144u, 0x1.5dbb95f8a68p+25, 0x1.c2515437c5d58p+26}},
+    {16, MultiplierVariant::kCompensated, OperandDistribution::kSparse,
+     {0x1.ea2495d56ec94p+4, 0x1.b93c3b8065cp+25, 0x1.b93fadfe087c6p-7, 0x1.dcda8p-1, 0x1.db15dee0c639ep+13, 1049064208u, 262144u, 0x1.846cbcb1facp+25, 0x1.d5d5512b7ecedp+26}},
+    };
+    for (const auto& pin : pins) {
+        EvalOptions opts;
+        opts.evaluate_hardware = false;
+        opts.distribution = pin.dist;
+        const MultiplierConfig config = make_config(16, pin.depth, pin.variant);
+        ASSERT_EQ(select_error_engine(config, opts), ErrorEngine::kSampled);
+        const ErrorMetrics m = evaluate_point(config, opts).error;
+        EXPECT_EQ(m, pin.m) << ApproxMultiplier(config).describe() << " "
+                            << operand_distribution_name(pin.dist) << ": nmed " << m.nmed;
+    }
+}
+
+// ------------------------------------------------------- engine interruption ----
+
+TEST(EngineStop, CheckedOncePerShardAndEvery4096Samples) {
+    const MultiplierConfig config = sdlc_config(8, 3);
+    const MultiplyKernel kernel(config);
+    const SlicedMultiplyKernel sliced(config);
+    std::atomic<unsigned> calls{0};
+    const StopCheck count = [&calls] { calls.fetch_add(1); };
+
+    const ErrorMetrics plain = exhaustive_metrics(config.width, kernel);
+    EXPECT_EQ(exhaustive_metrics(config.width, kernel, 0, nullptr, count), plain);
+    EXPECT_EQ(calls.exchange(0), kExhaustiveShards);
+    ThreadPool pool(3);
+    EXPECT_EQ(exhaustive_metrics(config.width, kernel, 0, &pool, count), plain);
+    EXPECT_EQ(calls.exchange(0), kExhaustiveShards);
+    EXPECT_EQ(exhaustive_metrics_sliced(sliced, 0, nullptr, count), plain);
+    EXPECT_EQ(calls.exchange(0), kExhaustiveShards);
+
+    const auto uniform = [](Xoshiro256& rng, uint64_t mask) { return rng.next() & mask; };
+    const ErrorMetrics sampled = sampled_metrics(config.width, 10000, 7, kernel, uniform);
+    EXPECT_EQ(sampled_metrics(config.width, 10000, 7, kernel, uniform, count), sampled);
+    EXPECT_EQ(calls.exchange(0), 3u);  // before samples 0, 4096 and 8192
+}
+
+TEST(EngineStop, AThrowingCheckAbandonsEveryEngine) {
+    const MultiplierConfig config = sdlc_config(8, 3);
+    const MultiplyKernel kernel(config);
+    const SlicedMultiplyKernel sliced(config);
+    struct Stopped {};
+    std::atomic<unsigned> calls{0};
+    // Lets the first 5 checks pass, then stops.
+    const StopCheck stop = [&calls] {
+        if (calls.fetch_add(1) >= 5) throw Stopped{};
+    };
+    ThreadPool pool(3);
+    EXPECT_THROW((void)exhaustive_metrics(config.width, kernel, 0, nullptr, stop), Stopped);
+    EXPECT_EQ(calls.exchange(0), 6u);
+    EXPECT_THROW((void)exhaustive_metrics(config.width, kernel, 0, &pool, stop), Stopped);
+    calls = 0;
+    EXPECT_THROW((void)exhaustive_metrics(config.width, kernel, 4, nullptr, stop), Stopped);
+    calls = 0;
+    EXPECT_THROW((void)exhaustive_metrics_sliced(sliced, 0, &pool, stop), Stopped);
+    calls = 0;
+    EXPECT_THROW((void)sampled_metrics(
+                     config.width, 100000, 7, kernel,
+                     [](Xoshiro256& rng, uint64_t mask) { return rng.next() & mask; }, stop),
+                 Stopped);
+    EXPECT_EQ(calls.load(), 6u);
+}
+
+TEST(EngineStop, DeadlineAndCancelStopAPointInsideTheEngine) {
+    // One width-14 exhaustive point: 2^28 pairs, far longer than 20 ms on
+    // any machine. The engine must notice at a shard boundary and the
+    // point must not be emitted; checked only between points, the sweep
+    // would finish the point and return normally.
+    SweepSpec spec;
+    spec.widths = {14};
+    spec.min_depth = spec.max_depth = 2;
+    spec.variants = {MultiplierVariant::kSdlc};
+    spec.schemes = {AccumulationScheme::kRowRipple};
+    EvalOptions opts;
+    opts.threads = 2;
+    opts.evaluate_hardware = false;
+    ASSERT_EQ(select_error_engine(spec.enumerate()[0], opts), ErrorEngine::kExhaustiveSliced);
+    size_t emitted = 0;
+    opts.on_point = [&emitted](size_t, const DesignPoint&) { ++emitted; };
+    const auto start = std::chrono::steady_clock::now();
+    opts.deadline = start + std::chrono::milliseconds(20);
+    EXPECT_THROW((void)evaluate_sweep(spec, opts), SweepDeadlineExceeded);
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+    EXPECT_EQ(emitted, 0u);
+
+    // The same for cancel, raised while the engine runs.
+    opts.deadline = {};
+    std::atomic<bool> cancel{false};
+    opts.cancel = &cancel;
+    std::thread canceller([&cancel] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        cancel.store(true);
+    });
+    EXPECT_THROW((void)evaluate_sweep(spec, opts), SweepCancelled);
+    canceller.join();
+    EXPECT_EQ(emitted, 0u);
 }
 
 }  // namespace

@@ -5,9 +5,17 @@
 # renames, number formatting, row-order changes) locally in ctest instead
 # of only in the CI serve smoke.
 #
+# Two width-16 ripple sweeps at 4096 samples pin the sampled engine the
+# same way: every width-16 point is sampled, so a change to the drawn
+# pairs, their order or any product moves a metric and breaks the bytes.
+#
 # The fixtures are legitimate to regenerate ONLY when the export format
 # changes on purpose:
 #   dse_tool --width 4 --json tests/golden/dse_w4.json --csv tests/golden/dse_w4.csv
+#   dse_tool --width 16 --schemes ripple --samples 4096 \
+#       --json tests/golden/dse_w16_sampled.json
+#   dse_tool --width 16 --schemes ripple --samples 4096 --dist gaussian \
+#       --json tests/golden/dse_w16_sampled_gaussian.json
 # Usage: golden_export.sh /path/to/dse_tool /path/to/tests/golden
 set -u
 
@@ -28,6 +36,22 @@ for kind in json csv; do
     else
         echo "FAIL: $kind export drifted from tests/golden/dse_w4.$kind:" >&2
         diff "$golden/dse_w4.$kind" "$workdir/out.$kind" | head -20 >&2
+        failures=$((failures + 1))
+    fi
+done
+for dist in uniform gaussian; do
+    name=dse_w16_sampled
+    [ "$dist" = uniform ] || name="${name}_$dist"
+    "$dse" --width 16 --schemes ripple --samples 4096 --dist "$dist" \
+        --json "$workdir/$name.json" >/dev/null || {
+        echo "FAIL: width-16 $dist sweep failed" >&2
+        exit 1
+    }
+    if cmp -s "$golden/$name.json" "$workdir/$name.json"; then
+        echo "ok: width-16 $dist sampled export matches golden fixture"
+    else
+        echo "FAIL: width-16 $dist sampled export drifted from tests/golden/$name.json:" >&2
+        diff "$golden/$name.json" "$workdir/$name.json" | head -20 >&2
         failures=$((failures + 1))
     fi
 done

@@ -168,9 +168,7 @@ TEST(SlicedKernel, WideWidthsCornersAndRandomStreams) {
 ErrorMetrics scalar_exhaustive(const MultiplierConfig& config, unsigned max_threads = 0,
                                ThreadPool* pool = nullptr) {
     const MultiplyKernel kernel(config);
-    return exhaustive_metrics(
-        config.width, [&kernel](uint64_t a, uint64_t b) { return kernel(a, b); }, max_threads,
-        pool);
+    return exhaustive_metrics(config.width, kernel, max_threads, pool);
 }
 
 TEST(SlicedEngine, MetricsBitIdenticalAcrossWidthsAndThreading) {

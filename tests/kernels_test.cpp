@@ -1,8 +1,10 @@
-// Tests for the fast-path kernel dispatch layer: registry behavior and,
-// most importantly, bit-exact equivalence between every kernel path and the
-// reference ClusterPlan interpreter / ApproxMultiplier software model.
+// Tests for the fast-path kernel layer: path names and, most importantly,
+// bit-exact equivalence between the block kernel (one pair or a whole
+// block) and the reference ClusterPlan interpreter / ApproxMultiplier
+// software model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "api/approx_multiplier.h"
@@ -13,24 +15,6 @@
 
 namespace sdlc {
 namespace {
-
-std::vector<MultiplierVariant> all_variants() {
-    return {MultiplierVariant::kAccurate, MultiplierVariant::kSdlc,
-            MultiplierVariant::kCompensated};
-}
-
-/// Compares kernel vs facade over the full operand square.
-void expect_exhaustive_equivalence(const MultiplierConfig& cfg) {
-    const ApproxMultiplier mul(cfg);
-    const MultiplyKernel kernel(cfg);
-    const uint64_t side = uint64_t{1} << cfg.width;
-    for (uint64_t a = 0; a < side; ++a) {
-        for (uint64_t b = 0; b < side; ++b) {
-            ASSERT_EQ(kernel(a, b), mul.multiply(a, b))
-                << mul.describe() << " path=" << kernel.name() << " a=" << a << " b=" << b;
-        }
-    }
-}
 
 /// Compares kernel vs facade on a reproducible random operand stream.
 void expect_sampled_equivalence(const MultiplierConfig& cfg, uint64_t samples) {
@@ -47,54 +31,31 @@ void expect_sampled_equivalence(const MultiplierConfig& cfg, uint64_t samples) {
     }
 }
 
-// -------------------------------------------------------------- registry ----
+// ------------------------------------------------------------ path names ----
 
-TEST(KernelRegistry, AccurateAndDepth1ShareTheExactKernel) {
-    const MultiplyKernelFn accurate =
-        find_multiply_kernel({8, 1, MultiplierVariant::kAccurate});
-    ASSERT_NE(accurate, nullptr);
-    EXPECT_EQ(accurate(11, 13), 143u);
+TEST(KernelNames, AccurateAndDepth1AreTheExactPath) {
+    EXPECT_STREQ(multiply_kernel_name({8, 1, MultiplierVariant::kAccurate}), "accurate");
     // Depth 1 means no compression for both approximate variants.
-    EXPECT_EQ(find_multiply_kernel({8, 1, MultiplierVariant::kSdlc}), accurate);
-    EXPECT_EQ(find_multiply_kernel({8, 1, MultiplierVariant::kCompensated}), accurate);
-    // The accurate variant ignores its depth knob.
-    EXPECT_EQ(find_multiply_kernel({8, 5, MultiplierVariant::kAccurate}), accurate);
-}
-
-TEST(KernelRegistry, Depth2GetsTheFast2BitTrick) {
-    for (const int width : {4, 8, 16, 32}) {
-        const MultiplyKernelFn fn = find_multiply_kernel({width, 2, MultiplierVariant::kSdlc});
-        ASSERT_NE(fn, nullptr) << width;
-        const uint64_t mask = (uint64_t{1} << width) - 1;
-        Xoshiro256 rng(7);
-        for (int i = 0; i < 1000; ++i) {
-            const uint64_t a = rng.next() & mask;
-            const uint64_t b = rng.next() & mask;
-            EXPECT_EQ(fn(a, b), sdlc_multiply_fast2(width, a, b));
-        }
-    }
-}
-
-TEST(KernelRegistry, PlannedConfigsReturnNull) {
-    EXPECT_EQ(find_multiply_kernel({8, 3, MultiplierVariant::kSdlc}), nullptr);
-    EXPECT_EQ(find_multiply_kernel({8, 2, MultiplierVariant::kCompensated}), nullptr);
-    EXPECT_STREQ(multiply_kernel_name({8, 3, MultiplierVariant::kSdlc}), "planned");
-    EXPECT_STREQ(multiply_kernel_name({8, 2, MultiplierVariant::kSdlc}), "sdlc-fast2");
     EXPECT_STREQ(multiply_kernel_name({8, 1, MultiplierVariant::kSdlc}), "accurate");
+    EXPECT_STREQ(multiply_kernel_name({8, 1, MultiplierVariant::kCompensated}), "accurate");
+    // The accurate variant ignores its depth knob.
+    EXPECT_STREQ(multiply_kernel_name({8, 5, MultiplierVariant::kAccurate}), "accurate");
 }
 
-TEST(KernelRegistry, OutOfRangeWidthsReturnNull) {
-    EXPECT_EQ(find_multiply_kernel({1, 1, MultiplierVariant::kAccurate}), nullptr);
-    EXPECT_EQ(find_multiply_kernel({33, 2, MultiplierVariant::kSdlc}), nullptr);
+TEST(KernelNames, PlainDepth2IsFast2AndTheRestPlanned) {
+    EXPECT_STREQ(multiply_kernel_name({8, 2, MultiplierVariant::kSdlc}), "sdlc-fast2");
+    EXPECT_STREQ(multiply_kernel_name({8, 3, MultiplierVariant::kSdlc}), "planned");
+    EXPECT_STREQ(multiply_kernel_name({8, 2, MultiplierVariant::kCompensated}), "planned");
+    EXPECT_STREQ(MultiplyKernel({8, 3, MultiplierVariant::kSdlc}).name(), "planned");
 }
 
-TEST(KernelRegistry, SchemeDoesNotAffectDispatch) {
+TEST(KernelNames, SchemeDoesNotAffectThePath) {
     // The accumulation scheme shapes hardware, never the software product.
     for (const AccumulationScheme s :
          {AccumulationScheme::kRowRipple, AccumulationScheme::kWallace,
           AccumulationScheme::kDadda, AccumulationScheme::kRowFastCpa}) {
-        EXPECT_EQ(find_multiply_kernel({8, 2, MultiplierVariant::kSdlc, s}),
-                  find_multiply_kernel({8, 2, MultiplierVariant::kSdlc}));
+        EXPECT_STREQ(multiply_kernel_name({8, 2, MultiplierVariant::kSdlc, s}), "sdlc-fast2");
+        EXPECT_STREQ(multiply_kernel_name({8, 4, MultiplierVariant::kSdlc, s}), "planned");
     }
 }
 
@@ -103,10 +64,17 @@ TEST(MultiplyKernelClass, RejectsUnbuildableConfigs) {
     EXPECT_THROW(MultiplyKernel({8, 9, MultiplierVariant::kSdlc}), std::invalid_argument);
 }
 
-TEST(MultiplyKernelClass, SpecializedFlagMatchesRegistry) {
-    EXPECT_TRUE(MultiplyKernel({8, 2, MultiplierVariant::kSdlc}).specialized());
-    EXPECT_FALSE(MultiplyKernel({8, 3, MultiplierVariant::kSdlc}).specialized());
-    EXPECT_FALSE(MultiplyKernel({8, 2, MultiplierVariant::kCompensated}).specialized());
+TEST(MultiplyKernelClass, Depth2MatchesTheFast2BitTrick) {
+    for (const int width : {4, 8, 16, 32}) {
+        const MultiplyKernel kernel({width, 2, MultiplierVariant::kSdlc});
+        const uint64_t mask = (uint64_t{1} << width) - 1;
+        Xoshiro256 rng(7);
+        for (int i = 0; i < 1000; ++i) {
+            const uint64_t a = rng.next() & mask;
+            const uint64_t b = rng.next() & mask;
+            EXPECT_EQ(kernel(a, b), sdlc_multiply_fast2(width, a, b));
+        }
+    }
 }
 
 TEST(MultiplyKernelClass, ErrorDistanceMatchesFacade) {
@@ -122,31 +90,6 @@ TEST(MultiplyKernelClass, ErrorDistanceMatchesFacade) {
 
 // ----------------------------------------------------------- equivalence ----
 
-TEST(KernelEquivalence, ExhaustiveDispatchableConfigsUpToWidth10) {
-    // Every configuration the registry backs with a stateless kernel.
-    for (int width = 2; width <= 10; ++width) {
-        for (const MultiplierVariant v : all_variants()) {
-            for (int depth = 1; depth <= (v == MultiplierVariant::kAccurate ? 1 : 2);
-                 ++depth) {
-                const MultiplierConfig cfg{width, depth, v};
-                if (find_multiply_kernel(cfg) == nullptr) continue;
-                expect_exhaustive_equivalence(cfg);
-            }
-        }
-    }
-}
-
-TEST(KernelEquivalence, ExhaustiveEveryDepthAtSmallWidths) {
-    // The planned (strength-reduced) path against the interpreter for every
-    // cluster depth and both approximate variants.
-    for (int width = 2; width <= 7; ++width) {
-        for (int depth = 1; depth <= width; ++depth) {
-            expect_exhaustive_equivalence({width, depth, MultiplierVariant::kSdlc});
-            expect_exhaustive_equivalence({width, depth, MultiplierVariant::kCompensated});
-        }
-    }
-}
-
 TEST(KernelEquivalence, SampledWideConfigs) {
     for (const int width : {9, 12, 16, 24, 32}) {
         for (const int depth : {2, 3, 4, width / 2}) {
@@ -155,6 +98,85 @@ TEST(KernelEquivalence, SampledWideConfigs) {
             expect_sampled_equivalence({width, depth, MultiplierVariant::kCompensated}, 20000);
         }
     }
+}
+
+// ------------------------------------------------------- block evaluation ----
+
+/// Checks multiply_block over `pairs` against operator() and the facade,
+/// in blocks whose sizes cycle through 64, 63 and 1 so that every block
+/// size the engines use (and a single pair) starts at many offsets.
+void expect_block_equivalence(const MultiplierConfig& cfg, const std::vector<uint64_t>& as,
+                              const std::vector<uint64_t>& bs) {
+    const ApproxMultiplier mul(cfg);
+    const MultiplyKernel kernel(cfg);
+    const unsigned sizes[] = {64, 63, 1};
+    uint64_t out[MultiplyKernel::kMaxBlock];
+    size_t next = 0;
+    for (size_t k = 0; next < as.size(); ++k) {
+        const auto n = static_cast<unsigned>(std::min<size_t>(sizes[k % 3], as.size() - next));
+        kernel.multiply_block(as.data() + next, bs.data() + next, out, n);
+        for (unsigned i = 0; i < n; ++i) {
+            const uint64_t a = as[next + i], b = bs[next + i];
+            ASSERT_EQ(out[i], kernel(a, b)) << mul.describe() << " n=" << n << " a=" << a
+                                            << " b=" << b;
+            ASSERT_EQ(out[i], mul.multiply(a, b)) << mul.describe() << " n=" << n << " a=" << a
+                                                  << " b=" << b;
+        }
+        next += n;
+    }
+}
+
+TEST(BlockEquivalence, ExhaustiveEveryDepthWidths2To10) {
+    for (int width = 2; width <= 10; ++width) {
+        const uint64_t side = uint64_t{1} << width;
+        std::vector<uint64_t> as, bs;
+        for (uint64_t a = 0; a < side; ++a) {
+            for (uint64_t b = 0; b < side; ++b) {
+                as.push_back(a);
+                bs.push_back(b);
+            }
+        }
+        expect_block_equivalence({width, 1, MultiplierVariant::kAccurate}, as, bs);
+        for (int depth = 1; depth <= width; ++depth) {
+            expect_block_equivalence({width, depth, MultiplierVariant::kSdlc}, as, bs);
+            expect_block_equivalence({width, depth, MultiplierVariant::kCompensated}, as, bs);
+        }
+    }
+}
+
+TEST(BlockEquivalence, RandomPairsWidths17To32) {
+    for (int width = 17; width <= 32; ++width) {
+        Xoshiro256 rng(static_cast<uint64_t>(width));
+        const uint64_t mask = (uint64_t{1} << width) - 1;
+        std::vector<uint64_t> as(3000), bs(3000);
+        for (size_t i = 0; i < as.size(); ++i) {
+            as[i] = rng.next() & mask;
+            bs[i] = rng.next() & mask;
+        }
+        // Compensated depths above 16 need tables across several chunks.
+        for (const int depth : {2, 3, 7, 9, 16, 17, 24, width}) {
+            if (depth > width) continue;
+            expect_block_equivalence({width, depth, MultiplierVariant::kSdlc}, as, bs);
+            expect_block_equivalence({width, depth, MultiplierVariant::kCompensated}, as, bs);
+        }
+    }
+}
+
+TEST(MultiplyKernelClass, CompensationTablesStayWithinTheBound) {
+    size_t widest = 0;
+    for (int width = 2; width <= 32; ++width) {
+        for (int depth = 1; depth <= width; ++depth) {
+            const size_t bytes =
+                MultiplyKernel({width, depth, MultiplierVariant::kCompensated}).table_bytes();
+            EXPECT_LE(bytes, MultiplyKernel::kMaxTableBytes) << width << " d" << depth;
+            widest = std::max(widest, bytes);
+            EXPECT_EQ(MultiplyKernel({width, depth, MultiplierVariant::kSdlc}).table_bytes(), 0u);
+        }
+    }
+    // The bound is the width-32, depth-32 table set: 4 inside-chunk
+    // tables plus 8 per pair of chunks, 2^8 entries each.
+    EXPECT_EQ(widest, MultiplyKernel::kMaxTableBytes * 52 / 64);
+    EXPECT_EQ(MultiplyKernel({32, 32, MultiplierVariant::kCompensated}).table_bytes(), widest);
 }
 
 // -------------------------------------------------------------- truncated ----

@@ -156,6 +156,10 @@ check_exit "dse_tool samples above 2^32" 2 $?
 check_exit "sdlc zero samples" 2 $?
 "$sdlc" eval --width 6 --depth 2 --samples 4294967297 >/dev/null 2>&1
 check_exit "sdlc samples above 2^32" 2 $?
+# --exhaustive lifts the pair budget, never the width cap: width 20 would
+# be 2^40 pairs, so it is a usage error, answered at once.
+timeout 20 "$sdlc" eval --width 20 --depth 2 --exhaustive >/dev/null 2>&1
+check_exit "sdlc exhaustive above width 16" 2 $?
 "$dse" --exhaustive-max-width 12 >/dev/null 2>&1
 check_exit "removed --exhaustive-max-width flag" 2 $?
 "$dse" --no-auto-exhaustive >/dev/null 2>&1

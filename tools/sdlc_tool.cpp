@@ -11,15 +11,14 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <set>
 #include <string>
-#include <thread>
 
 #include "analysis/expected_error.h"
 #include "api/approx_multiplier.h"
 #include "core/functional.h"
 #include "dse/evaluator.h"
-#include "error/evaluate.h"
 #include "image/convolve.h"
 #include "image/gaussian.h"
 #include "image/synthetic.h"
@@ -31,6 +30,7 @@
 #include "util/args.h"
 #include "util/rng.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -44,6 +44,8 @@ using cli::Args;
         "  sdlc gen   --width N --depth D [--scheme S] [--variant V] [-o file.v]\n"
         "             [--tb file.sv] [--dot file.dot] [--vcd file.vcd]\n"
         "  sdlc eval  --width N --depth D [--variant V] [--exhaustive | --samples K]\n"
+        "             (exhaustive while 4^N pairs fit the sweep's default budget,\n"
+        "             always with --exhaustive, which needs N <= 16)\n"
         "  sdlc synth --width N --depth D [--variant V] [--scheme S]\n"
         "  sdlc blur  [--input in.pgm] --depth D [-o out.pgm]\n"
         "variants: accurate|sdlc|compensated   schemes: ripple|wallace|dadda|fastcpa\n";
@@ -125,23 +127,27 @@ int cmd_gen(const Args& args) {
 int cmd_eval(const Args& args) {
     const MultiplierConfig cfg = config_from(args);
     const ApproxMultiplier mul(cfg);
-    auto f = [&mul](uint64_t a, uint64_t b) { return mul.multiply(a, b); };
-    const uint64_t samples = args.get_uint64("--samples", uint64_t{1} << 22);
-    if (samples < 1 || samples > kMaxSamples) {
+    EvalOptions opts;
+    opts.evaluate_hardware = false;
+    opts.samples = args.get_uint64("--samples", uint64_t{1} << 22);
+    if (opts.samples < 1 || opts.samples > kMaxSamples) {
         usage("--samples must be in [1, " + std::to_string(kMaxSamples) + "]");
     }
-
-    ErrorMetrics m;
-    std::string mode;
-    if (args.flag("--exhaustive") || cfg.width <= 12) {
-        // Explicit thread count: a standalone CLI run wants the machine's
-        // cores (the inline default targets embedded/pool-worker callers).
-        m = exhaustive_metrics(cfg.width, f, std::thread::hardware_concurrency());
-        mode = "exhaustive";
-    } else {
-        m = sampled_metrics(cfg.width, samples, 0x5eed, f);
-        mode = "sampled " + std::to_string(samples);
+    // The sweep's engine policy: exhaustive iff the width fits the pair
+    // budget, which --exhaustive lifts to its maximum (still capped at
+    // kMaxExhaustiveWidth).
+    if (args.flag("--exhaustive")) {
+        if (cfg.width > kMaxExhaustiveWidth) {
+            usage("--exhaustive needs --width <= " + std::to_string(kMaxExhaustiveWidth));
+        }
+        opts.exhaustive_budget = ~uint64_t{0};
     }
+    const bool sampled = select_error_engine(cfg, opts) == ErrorEngine::kSampled;
+    // A standalone CLI run wants the machine's cores for the shard grid.
+    std::optional<ThreadPool> pool;
+    if (!sampled) pool.emplace();
+    const ErrorMetrics m = evaluate_error(cfg, opts, pool ? &*pool : nullptr);
+    const std::string mode = sampled ? "sampled " + std::to_string(opts.samples) : "exhaustive";
     std::cout << mul.describe() << "  [" << mode << "]\n";
     TextTable t({"metric", "value"});
     t.add_row({"MRED (%)", fmt_percent(m.mred, 5)});
