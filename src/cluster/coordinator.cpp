@@ -1,14 +1,12 @@
 #include "cluster/coordinator.h"
 
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <optional>
 #include <stdexcept>
@@ -39,35 +37,16 @@ constexpr int kTickMs = 200;
 /// bits run ~700 bytes; anything near this cap is a protocol violation.
 constexpr size_t kMaxEventBytes = size_t{1} << 20;
 
-int connect_worker(const CachePeerAddress& addr, int timeout_ms) {
-    try {
-        return addr.is_unix
-                   ? serve::unix_socket_connect(addr.path_or_host, timeout_ms)
-                   : serve::tcp_connect(addr.path_or_host.empty() ? "127.0.0.1"
-                                                                  : addr.path_or_host,
-                                        addr.port, timeout_ms);
-    } catch (const std::exception&) {
-        return -1;
-    }
-}
-
-/// One coordinator->worker connection with a buffered, abort-aware line
-/// reader. Reads tick at kTickMs so the owning thread notices an abort
-/// promptly, and give up after `silence_ms` without a single byte — the
-/// slow-worker detector (a worker streaming points is never "silent").
+/// One coordinator->worker connection. Its wait policy: poll ticks at
+/// kTickMs so the owning thread notices an abort promptly, and give up
+/// after `silence_ms` without a single byte — the slow-worker detector (a
+/// worker streaming points is never "silent").
 struct WorkerLink {
     int fd = -1;
-    std::string buffer;
-    size_t scanned = 0;       ///< prefix of buffer already known newline-free
-    uint64_t received = 0;    ///< raw bytes read, for the per-worker counter
+    serve::StreamReader reader{-1};
 
-    ~WorkerLink() { close_link(); }
-
-    void close_link() {
+    ~WorkerLink() {
         if (fd >= 0) ::close(fd);
-        fd = -1;
-        buffer.clear();
-        scanned = 0;
     }
 
     enum class Read { kLine, kFailed, kAborted };
@@ -76,15 +55,8 @@ struct WorkerLink {
     Read next_line(std::string& line, int silence_ms, const AbortFn& aborted) {
         Clock::time_point last_data = Clock::now();
         for (;;) {
-            const size_t nl = buffer.find('\n', scanned);
-            if (nl != std::string::npos) {
-                line.assign(buffer, 0, nl);
-                buffer.erase(0, nl + 1);
-                scanned = 0;
-                return Read::kLine;
-            }
-            scanned = buffer.size();
-            if (buffer.size() > kMaxEventBytes) return Read::kFailed;
+            if (reader.take_line(line, kMaxEventBytes)) return Read::kLine;
+            if (reader.overflowed()) return Read::kFailed;
             if (aborted()) return Read::kAborted;
             if (silence_ms > 0 &&
                 Clock::now() - last_data >= std::chrono::milliseconds(silence_ms)) {
@@ -92,16 +64,9 @@ struct WorkerLink {
             }
             pollfd p{fd, POLLIN, 0};
             const int r = ::poll(&p, 1, kTickMs);
-            if (r < 0) {
-                if (errno == EINTR) continue;
-                return Read::kFailed;
-            }
-            if (r == 0) continue;
-            char chunk[16384];
-            const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-            if (n <= 0) return Read::kFailed;
-            buffer.append(chunk, static_cast<size_t>(n));
-            received += static_cast<uint64_t>(n);
+            if (r < 0 && errno != EINTR) return Read::kFailed;
+            if (r <= 0) continue;
+            if (reader.fill() != serve::StreamReader::Fill::kData) return Read::kFailed;
             last_data = Clock::now();
         }
     }
@@ -328,7 +293,13 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
                 bool dispatched = false;
                 WorkerLink::Read outcome = WorkerLink::Read::kFailed;
                 const Clock::time_point s0 = Clock::now();
-                if (link.fd < 0) link.fd = connect_worker(addresses[wi], opts.connect_timeout_ms);
+                if (link.fd < 0) {
+                    try {
+                        link.fd = serve::connect_peer(addresses[wi], opts.connect_timeout_ms);
+                        link.reader = serve::StreamReader(link.fd);
+                    } catch (const std::exception&) {
+                    }
+                }
                 if (link.fd >= 0) {
                     dispatched = true;
                     obs::ScopedSpan dispatch_span(rec, eval.trace, "shard_dispatch");
@@ -341,7 +312,7 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
                     --d.in_flight;
                     if (dispatched) ++wc.dispatched;
                     wc.busy_seconds += busy;
-                    wc.bytes = link.received;
+                    wc.bytes = link.reader.bytes_read();
                     if (outcome == WorkerLink::Read::kLine) {
                         ++wc.completed;
                     } else if (outcome == WorkerLink::Read::kAborted) {
@@ -364,14 +335,10 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
                         dead = true;
                     }
                 }
-                if (dead) link.close_link();
                 d.cv.notify_all();
             }
             std::lock_guard<std::mutex> lock(d.m);
-            {
-                serve::ClusterWorkerCounters& w = run_counters.workers[wi];
-                w.bytes = link.received;
-            }
+            wc.bytes = link.reader.bytes_read();
             if (--d.live == 0 && !d.abort) {
                 // Last worker gone: everything still queued runs locally.
                 while (!d.queue.empty()) {

@@ -89,8 +89,8 @@ std::vector<DesignPoint> distributed_sweep(const SweepSpec& spec, const EvalOpti
 /// cancellation, deadlines and event emission are all inherited — only the
 /// evaluate() hook changes, which is what keeps a coordinator's event
 /// stream byte-identical to a single replica's. Control requests (stats,
-/// metrics, cancel, shutdown) behave exactly as on a plain service, with
-/// the cluster counters folded into stats() and the Prometheus scrape.
+/// trace, cancel, shutdown) behave exactly as on a plain service, with
+/// the cluster counters folded into stats() and GET /metrics.
 class CoordinatorService final : public serve::SweepService {
 public:
     /// Throws std::invalid_argument on an empty worker list, a malformed

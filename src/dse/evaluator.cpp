@@ -196,7 +196,7 @@ ErrorMetrics evaluate_error(const MultiplierConfig& config, const EvalOptions& o
             // 64-product blocks from per-lane tables; bit-identical to
             // the scalar engine below (enforced by exhaustive tests).
             const SlicedMultiplyKernel kernel(config);
-            error = exhaustive_metrics_sliced(kernel, /*max_threads=*/0, shard_pool, stop);
+            error = exhaustive_metrics_sliced(kernel, shard_pool, stop);
             break;
         }
         case ErrorEngine::kExhaustiveScalar: {
@@ -205,7 +205,7 @@ ErrorMetrics evaluate_error(const MultiplierConfig& config, const EvalOptions& o
             // the kernel's branch-free block evaluation instead of the
             // ClusterPlan interpreter.
             const MultiplyKernel kernel(config);
-            error = exhaustive_metrics(config.width, kernel, /*max_threads=*/0, shard_pool, stop);
+            error = exhaustive_metrics(config.width, kernel, shard_pool, stop);
             break;
         }
         case ErrorEngine::kSampled: {

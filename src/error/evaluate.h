@@ -13,12 +13,12 @@
 // order and shards merge in index order, the result is bit-identical for
 // every worker count (and every machine's core count).
 //
-// Threading contract: by default (max_threads == 0, no pool) the shards run
-// inline on the calling thread. A caller that owns a ThreadPool passes it
-// to spread shards over existing workers; only an explicit max_threads > 1
-// spawns dedicated threads. (The engine used to default to
-// hardware_concurrency() raw std::threads on every call, which
-// oversubscribed N*M threads when invoked from resident pool workers.)
+// Threading contract: without a pool the shards run inline on the calling
+// thread; a caller that owns a ThreadPool passes it to spread shards over
+// existing workers. The engines never start threads of their own. (They
+// used to default to hardware_concurrency() raw std::threads on every
+// call, which oversubscribed N*M threads when invoked from resident pool
+// workers.)
 //
 // Interruption: an optional StopCheck is called at the start of every
 // shard of both exhaustive engines (this one and evaluate_sliced.h) and
@@ -38,12 +38,8 @@
 #define SDLC_ERROR_EVALUATE_H
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "error/metrics.h"
@@ -78,50 +74,24 @@ void approx_block(ApproxFn& approx, const uint64_t* a, const uint64_t* b, uint64
     }
 }
 
-/// Runs `run_shard(s)` for every shard in [0, shards). Inline when no
-/// parallelism was requested, over `pool` when one is provided, and on
-/// dedicated threads only for an explicit max_threads > 1. Shard results
-/// must be accumulated into per-shard state so the caller's merge order —
-/// not the scheduling — decides the result. `stop` (when set) runs before
-/// each shard; the first exception a shard or `stop` throws is rethrown on
-/// the calling thread once the running shards finish, and no further
-/// shard starts.
+/// Runs `run_shard(s)` for every shard in [0, shards): over `pool` when
+/// one is provided, inline otherwise. Shard results must be accumulated
+/// into per-shard state so the caller's merge order — not the scheduling —
+/// decides the result. `stop` (when set) runs before each shard; the first
+/// exception a shard or `stop` throws is rethrown on the calling thread
+/// once the running shards finish, and no further shard starts.
 template <typename RunShard>
-void run_sharded(unsigned shards, unsigned max_threads, ThreadPool* pool,
-                 const StopCheck& stop, RunShard&& run_shard) {
+void run_sharded(unsigned shards, ThreadPool* pool, const StopCheck& stop,
+                 RunShard&& run_shard) {
     auto shard = [&](unsigned s) {
         if (stop) stop();
         run_shard(s);
     };
     if (pool != nullptr) {
         parallel_for(*pool, shards, [&](size_t s) { shard(static_cast<unsigned>(s)); });
-        return;
-    }
-    const unsigned threads = std::min(max_threads, shards);
-    if (threads <= 1) {
+    } else {
         for (unsigned s = 0; s < shards; ++s) shard(s);
-        return;
     }
-    std::atomic<unsigned> next{0};
-    std::mutex error_mutex;
-    std::exception_ptr error;
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-        workers.emplace_back([&] {
-            for (unsigned s = next.fetch_add(1); s < shards; s = next.fetch_add(1)) {
-                try {
-                    shard(s);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(error_mutex);
-                    if (!error) error = std::current_exception();
-                    next.store(shards);  // claim nothing more
-                }
-            }
-        });
-    }
-    for (auto& th : workers) th.join();
-    if (error) std::rethrow_exception(error);
 }
 
 }  // namespace detail
@@ -133,12 +103,10 @@ inline constexpr unsigned kExhaustiveShards = 64;
 
 /// Evaluates `approx` on every operand pair of the given width
 /// (width <= 16 recommended: 2^(2*width) pairs) and returns the metrics.
-/// Runs inline by default; pass a pool to shard over existing workers, or
-/// an explicit max_threads > 1 to spawn dedicated threads. `stop` runs
-/// before each shard.
+/// Runs inline by default; pass a pool to shard over existing workers.
+/// `stop` runs before each shard.
 template <typename ApproxFn>
 [[nodiscard]] ErrorMetrics exhaustive_metrics(int width, ApproxFn&& approx,
-                                              unsigned max_threads = 0,
                                               ThreadPool* pool = nullptr,
                                               const StopCheck& stop = {}) {
     const uint64_t side = uint64_t{1} << width;
@@ -146,7 +114,7 @@ template <typename ApproxFn>
     const unsigned shards =
         static_cast<unsigned>(std::min<uint64_t>(kExhaustiveShards, side));
     std::vector<ErrorAccumulator> accs(shards, ErrorAccumulator(width));
-    detail::run_sharded(shards, max_threads, pool, stop, [&](unsigned s) {
+    detail::run_sharded(shards, pool, stop, [&](unsigned s) {
         ErrorAccumulator& acc = accs[s];
         uint64_t as[kPairChunk], bs[kPairChunk], exact[kPairChunk], out[kPairChunk];
         for (uint64_t a = s; a < side; a += shards) {

@@ -2,8 +2,7 @@
 
 namespace sdlc {
 
-ErrorMetrics exhaustive_metrics_sliced(const SlicedMultiplyKernel& kernel,
-                                       unsigned max_threads, ThreadPool* pool,
+ErrorMetrics exhaustive_metrics_sliced(const SlicedMultiplyKernel& kernel, ThreadPool* pool,
                                        const StopCheck& stop) {
     const int width = kernel.config().width;
     const uint64_t side = uint64_t{1} << width;
@@ -11,7 +10,7 @@ ErrorMetrics exhaustive_metrics_sliced(const SlicedMultiplyKernel& kernel,
         static_cast<unsigned>(std::min<uint64_t>(kExhaustiveShards, side));
     const unsigned lanes = kernel.natural_lanes();
     std::vector<ErrorAccumulator> accs(shards, ErrorAccumulator(width));
-    detail::run_sharded(shards, max_threads, pool, stop, [&](unsigned s) {
+    detail::run_sharded(shards, pool, stop, [&](unsigned s) {
         ErrorAccumulator& acc = accs[s];
         SlicedMultiplyKernel::Prepared prep;
         uint64_t exact[64], out[64];

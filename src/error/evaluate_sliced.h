@@ -21,10 +21,9 @@ namespace sdlc {
 
 /// Exhaustive metrics over every operand pair of the kernel's width.
 /// Threading and interruption contract match exhaustive_metrics(): inline
-/// by default, shards over `pool` when provided, dedicated threads only
-/// for an explicit max_threads > 1, and `stop` runs before each shard.
+/// by default, shards over `pool` when provided, and `stop` runs before
+/// each shard.
 [[nodiscard]] ErrorMetrics exhaustive_metrics_sliced(const SlicedMultiplyKernel& kernel,
-                                                     unsigned max_threads = 0,
                                                      ThreadPool* pool = nullptr,
                                                      const StopCheck& stop = {});
 

@@ -25,120 +25,6 @@ namespace {
 
 // --------------------------------------------------------------- parsing ----
 
-/// Buffered byte reader over a connection fd: the HTTP head and body need
-/// delimiter- and length-based reads, not the newline framing LineReader
-/// provides.
-class ByteReader {
-public:
-    explicit ByteReader(int fd) : fd_(fd) {}
-
-    /// Appends bytes until `buffer_` contains a blank line ending the HTTP
-    /// head, EOF, or `cap` bytes. Returns true when the head terminator was
-    /// found; head_end is the offset just past it.
-    enum class HeadStatus { kOk, kEof, kOverflow, kError };
-    HeadStatus read_head(size_t cap, size_t& head_end) {
-        while (true) {
-            const size_t end = find_head_end();
-            if (end != std::string::npos) {
-                // A complete head is still held to the cap: arriving in one
-                // read must not exempt it.
-                if (end > cap) return HeadStatus::kOverflow;
-                head_end = end;
-                return HeadStatus::kOk;
-            }
-            if (buffer_.size() > cap) return HeadStatus::kOverflow;
-            char chunk[4096];
-            const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-            if (n < 0) {
-                if (errno == EINTR) continue;
-                return HeadStatus::kError;
-            }
-            if (n == 0) return buffer_.empty() ? HeadStatus::kEof : HeadStatus::kError;
-            buffer_.append(chunk, static_cast<size_t>(n));
-        }
-    }
-
-    /// Extracts exactly `count` body bytes (the head must have been
-    /// consumed first). Returns false on EOF/error before `count` arrived.
-    bool read_exact(size_t count, std::string& out) {
-        while (buffer_.size() < count) {
-            char chunk[4096];
-            const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-            if (n < 0) {
-                if (errno == EINTR) continue;
-                return false;
-            }
-            if (n == 0) return false;
-            buffer_.append(chunk, static_cast<size_t>(n));
-        }
-        out.assign(buffer_, 0, count);
-        buffer_.erase(0, count);
-        return true;
-    }
-
-    /// Reads one CRLF/LF-terminated line (terminator stripped); used by the
-    /// client-side chunked decoder. False on EOF/error.
-    bool read_line(std::string& line, size_t cap = size_t{1} << 16) {
-        while (true) {
-            const size_t nl = buffer_.find('\n');
-            if (nl != std::string::npos) {
-                line.assign(buffer_, 0, nl);
-                buffer_.erase(0, nl + 1);
-                if (!line.empty() && line.back() == '\r') line.pop_back();
-                return true;
-            }
-            if (buffer_.size() > cap) return false;
-            char chunk[4096];
-            const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-            if (n < 0) {
-                if (errno == EINTR) continue;
-                return false;
-            }
-            if (n == 0) return false;
-            buffer_.append(chunk, static_cast<size_t>(n));
-        }
-    }
-
-    /// Drains the stream to EOF into `out` (Connection: close bodies).
-    void read_to_eof(std::string& out) {
-        out = std::move(buffer_);
-        buffer_.clear();
-        char chunk[4096];
-        while (true) {
-            const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-            if (n < 0) {
-                if (errno == EINTR) continue;
-                return;
-            }
-            if (n == 0) return;
-            out.append(chunk, static_cast<size_t>(n));
-        }
-    }
-
-    /// Hands the head bytes [0, head_end) over and drops them from the
-    /// buffer (any body prefix read alongside stays buffered).
-    std::string take_head(size_t head_end) {
-        std::string head = buffer_.substr(0, head_end);
-        buffer_.erase(0, head_end);
-        return head;
-    }
-
-private:
-    /// Offset just past "\r\n\r\n" (or bare "\n\n"); npos when incomplete.
-    size_t find_head_end() const {
-        const size_t crlf = buffer_.find("\r\n\r\n");
-        const size_t lf = buffer_.find("\n\n");
-        if (crlf == std::string::npos && lf == std::string::npos) return std::string::npos;
-        if (crlf != std::string::npos && (lf == std::string::npos || crlf < lf)) {
-            return crlf + 4;
-        }
-        return lf + 2;
-    }
-
-    int fd_;
-    std::string buffer_;
-};
-
 struct HttpRequestHead {
     std::string method;
     std::string target;
@@ -165,10 +51,12 @@ std::string trim(const std::string& s) {
     return s.substr(b, e - b);
 }
 
-/// Parses the head block (request line + headers). Strict enough to reject
-/// smuggling-shaped input: no obs-fold continuations, no duplicate
-/// Content-Length, a single space between request-line tokens.
-bool parse_request_head(const std::string& head, HttpRequestHead& out) {
+/// Splits a head block (request or status line + headers) into its start
+/// line and its headers, names lowercased and CRs stripped. Strict enough
+/// to reject smuggling-shaped input: no obs-fold continuations, no
+/// conflicting Content-Length.
+bool parse_head(const std::string& head, std::string& start_line,
+                std::map<std::string, std::string>& headers) {
     size_t pos = 0;
     auto next_line = [&head, &pos](std::string& line) {
         if (pos >= head.size()) return false;
@@ -179,9 +67,31 @@ bool parse_request_head(const std::string& head, HttpRequestHead& out) {
         if (!line.empty() && line.back() == '\r') line.pop_back();
         return true;
     };
+    if (!next_line(start_line) || start_line.empty()) return false;
 
+    constexpr size_t kMaxHeaders = 100;
     std::string line;
-    if (!next_line(line) || line.empty()) return false;
+    while (next_line(line)) {
+        if (line.empty()) break;  // end of headers
+        if (line[0] == ' ' || line[0] == '\t') return false;  // obs-fold
+        const size_t colon = line.find(':');
+        if (colon == std::string::npos || colon == 0) return false;
+        if (headers.size() >= kMaxHeaders) return false;
+        const std::string name = lowercase(line.substr(0, colon));
+        const std::string value = trim(line.substr(colon + 1));
+        if (name == "content-length" && headers.count(name) != 0 && headers[name] != value) {
+            return false;  // conflicting lengths: reject, never guess
+        }
+        headers[name] = value;
+    }
+    return true;
+}
+
+/// Parses a request head: parse_head plus a single space between the
+/// request-line tokens.
+bool parse_request_head(const std::string& head, HttpRequestHead& out) {
+    std::string line;
+    if (!parse_head(head, line, out.headers)) return false;
     const size_t sp1 = line.find(' ');
     const size_t sp2 = sp1 == std::string::npos ? std::string::npos : line.find(' ', sp1 + 1);
     if (sp1 == std::string::npos || sp2 == std::string::npos ||
@@ -192,24 +102,7 @@ bool parse_request_head(const std::string& head, HttpRequestHead& out) {
     out.target = line.substr(sp1 + 1, sp2 - sp1 - 1);
     out.version = line.substr(sp2 + 1);
     if (out.method.empty() || out.target.empty() || out.target[0] != '/') return false;
-    if (out.version.rfind("HTTP/", 0) != 0) return false;
-
-    constexpr size_t kMaxHeaders = 100;
-    while (next_line(line)) {
-        if (line.empty()) break;  // end of headers
-        if (line[0] == ' ' || line[0] == '\t') return false;  // obs-fold
-        const size_t colon = line.find(':');
-        if (colon == std::string::npos || colon == 0) return false;
-        if (out.headers.size() >= kMaxHeaders) return false;
-        const std::string name = lowercase(line.substr(0, colon));
-        const std::string value = trim(line.substr(colon + 1));
-        if (name == "content-length" && out.headers.count(name) != 0 &&
-            out.headers[name] != value) {
-            return false;  // conflicting lengths: reject, never guess
-        }
-        out.headers[name] = value;
-    }
-    return true;
+    return out.version.rfind("HTTP/", 0) == 0;
 }
 
 /// Strict non-negative integer parse for Content-Length and chunk sizes.
@@ -374,7 +267,7 @@ void handle_http_connection(const FrontDoor& door, int fd,
                             const std::shared_ptr<FdSink>& sink) {
     const HttpOptions& opts = door.options;
     const std::string peer = peer_address(fd);
-    ByteReader reader(fd);
+    StreamReader reader(fd);
 
     auto respond = [&](int status, const std::string& method, const std::string& path,
                        const char* outcome, const std::string& body, bool keep_alive,
@@ -389,24 +282,21 @@ void handle_http_connection(const FrontDoor& door, int fd,
 
     bool keep_alive = true;
     while (keep_alive) {
-        size_t head_end = 0;
-        switch (reader.read_head(opts.max_header_bytes, head_end)) {
-            case ByteReader::HeadStatus::kOk:
-                break;
-            case ByteReader::HeadStatus::kEof:
-                return;  // clean close between requests
-            case ByteReader::HeadStatus::kOverflow:
-                respond(431, "", "", "headers_too_large",
-                        error_body(431, "request head exceeds " +
-                                            std::to_string(opts.max_header_bytes) + " bytes"),
-                        false);
-                return;
-            case ByteReader::HeadStatus::kError:
-                return;  // mid-head disconnect: nothing sensible to answer
+        std::string head_text;
+        const StreamReader::Head state = reader.read_head(opts.max_header_bytes, head_text);
+        if (state == StreamReader::Head::kOverflow) {
+            respond(431, "", "", "headers_too_large",
+                    error_body(431, "request head exceeds " +
+                                        std::to_string(opts.max_header_bytes) + " bytes"),
+                    false);
+            return;
         }
+        // A clean close between requests, or a mid-head disconnect: either
+        // way there is nothing sensible to answer.
+        if (state != StreamReader::Head::kComplete) return;
 
         HttpRequestHead head;
-        if (!parse_request_head(reader.take_head(head_end), head)) {
+        if (!parse_request_head(head_text, head)) {
             respond(400, "", "", "bad_request",
                     error_body(400, "malformed HTTP request"), false);
             return;
@@ -685,7 +575,7 @@ bool http_request(const std::string& host, uint16_t port, const std::string& met
     };
     int fd;
     try {
-        fd = tcp_connect(host, port, timeout_ms);
+        fd = connect_peer(CachePeerAddress{false, host, port}, timeout_ms);
     } catch (const std::exception& e) {
         return fail(e.what());
     }
@@ -703,17 +593,18 @@ bool http_request(const std::string& host, uint16_t port, const std::string& met
         return fail("send failed");
     }
 
-    ByteReader reader(fd);
-    size_t head_end = 0;
-    if (reader.read_head(size_t{1} << 20, head_end) != ByteReader::HeadStatus::kOk) {
+    StreamReader reader(fd);
+    std::string head;
+    if (reader.read_head(size_t{1} << 20, head) != StreamReader::Head::kComplete) {
         ::close(fd);
         return fail("no HTTP response head");
     }
-    const std::string head = reader.take_head(head_end);
-    const size_t line_end = head.find('\n');
-    std::string status_line = head.substr(0, line_end);
-    if (!status_line.empty() && status_line.back() == '\r') status_line.pop_back();
-    // "HTTP/1.1 200 OK"
+    out = HttpClientResponse{};
+    std::string status_line;  // "HTTP/1.1 200 OK"
+    if (!parse_head(head, status_line, out.headers)) {
+        ::close(fd);
+        return fail("malformed HTTP response head");
+    }
     const size_t sp1 = status_line.find(' ');
     if (status_line.rfind("HTTP/", 0) != 0 || sp1 == std::string::npos) {
         ::close(fd);
@@ -728,29 +619,21 @@ bool http_request(const std::string& host, uint16_t port, const std::string& met
         ::close(fd);
         return fail("malformed status code: " + code_text);
     }
-    out = HttpClientResponse{};
     out.status = static_cast<int>(code);
     if (sp2 != std::string::npos) out.reason = status_line.substr(sp2 + 1);
-
-    size_t pos = line_end + 1;
-    while (pos < head.size()) {
-        const size_t nl = head.find('\n', pos);
-        const size_t end = nl == std::string::npos ? head.size() : nl;
-        std::string line = head.substr(pos, end - pos);
-        pos = nl == std::string::npos ? head.size() : nl + 1;
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        if (line.empty()) continue;
-        const size_t colon = line.find(':');
-        if (colon == std::string::npos) continue;
-        out.headers[lowercase(line.substr(0, colon))] = trim(line.substr(colon + 1));
-    }
 
     bool ok = true;
     const auto te = out.headers.find("transfer-encoding");
     if (te != out.headers.end() && lowercase(te->second) == "chunked") {
+        // Chunk framing lines end in CRLF; the terminator is stripped.
+        const auto read_line = [&reader](std::string& line) {
+            if (!reader.next_line(line, size_t{1} << 16)) return false;
+            if (!line.empty() && line.back() == '\r') line.pop_back();
+            return true;
+        };
         std::string size_line;
         while (true) {
-            if (!reader.read_line(size_line)) {
+            if (!read_line(size_line)) {
                 ok = false;
                 break;
             }
@@ -764,12 +647,12 @@ bool http_request(const std::string& host, uint16_t port, const std::string& met
                 break;
             }
             if (chunk_size == 0) {
-                (void)reader.read_line(size_line);  // trailing CRLF / trailers
+                (void)read_line(size_line);  // trailing CRLF / trailers
                 break;
             }
             std::string payload;
             if (!reader.read_exact(chunk_size, payload) ||
-                !reader.read_line(size_line)) {  // chunk-terminating CRLF
+                !read_line(size_line)) {  // chunk-terminating CRLF
                 ok = false;
                 break;
             }
@@ -782,7 +665,7 @@ bool http_request(const std::string& host, uint16_t port, const std::string& met
             ok = false;
         }
     } else {
-        reader.read_to_eof(out.body);
+        out.body = reader.read_to_eof();
     }
     ::close(fd);
     if (!ok) return fail("truncated HTTP response body");

@@ -12,11 +12,15 @@
 //                    The chunk payloads concatenated are byte-identical to
 //                    what the same requests produce over the line
 //                    transport — HTTP is framing, never content.
-//   GET  /metrics    the existing Prometheus exposition text, so a stock
-//                    Prometheus can scrape serve_tool directly (no
-//                    textfile-collector workaround).
+//   GET  /metrics    the Prometheus exposition text (serve/metrics.h) —
+//                    the only place it is served, so a stock Prometheus
+//                    scrapes serve_tool directly (no textfile-collector
+//                    workaround).
 //   GET  /healthz    200 "ok" liveness probe (always unauthenticated).
 //
+// Requests are read through the transports' one StreamReader
+// (serve/socket.h): a head is taken under max_header_bytes, and any body
+// prefix read along with it stays buffered for the Content-Length read.
 // On top of the routes sit two production controls:
 //
 //   * Bearer-token auth (`--auth-token-file`): /metrics and /v1/sweep

@@ -1,14 +1,14 @@
 // Prometheus text-format (exposition format version 0.0.4) rendering of
 // ServiceStats.
 //
-// The same text is served two ways: `GET /metrics` on the HTTP front door
-// (serve/http.h), and over the line protocol, where a
-// `{"type": "metrics"}` request answers with a `metrics` event whose
-// `data` field holds exactly this text and `serve_tool --scrape` decodes
-// it back to the raw exposition format for a node-exporter textfile
-// collector or any other pull pipeline. Counters are monotonic since
-// service start; gauges are momentary; the request-latency histogram
-// follows the cumulative-`le` bucket convention.
+// The text is served in one place: `GET /metrics` on the HTTP front door
+// (serve/http.h), which a stock Prometheus scrapes directly and
+// `serve_tool --scrape --http` fetches for a node-exporter textfile
+// collector or any other pull pipeline. The line protocol has no metrics
+// verb; its `stats` event carries the same counters as JSON. Counters are
+// monotonic since service start; gauges are momentary; the
+// request-latency histogram follows the cumulative-`le` bucket
+// convention.
 #ifndef SDLC_SERVE_METRICS_H
 #define SDLC_SERVE_METRICS_H
 
@@ -30,9 +30,10 @@ inline constexpr const char* kBuildVersion = "0.9.0";
 
 /// Structural validator for Prometheus exposition text (version 0.0.4):
 /// every line must be a comment or a `name[{labels}] value` sample with a
-/// parseable float value, and at least one sample must be present. The
-/// --scrape paths run scraped text through this so a daemon answering
-/// garbage fails the scrape (exit 3) instead of poisoning a collector.
+/// parseable float value, and at least one sample must be present.
+/// `serve_tool --scrape` runs scraped text through this so a daemon
+/// answering garbage fails the scrape (exit 3) instead of poisoning a
+/// collector.
 [[nodiscard]] bool validate_exposition(const std::string& text, std::string* error = nullptr);
 
 }  // namespace sdlc::serve

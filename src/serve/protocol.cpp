@@ -175,7 +175,6 @@ const char* request_type_name(RequestType t) noexcept {
     switch (t) {
         case RequestType::kSweep: return "sweep";
         case RequestType::kStats: return "stats";
-        case RequestType::kMetrics: return "metrics";
         case RequestType::kTrace: return "trace";
         case RequestType::kCancel: return "cancel";
         case RequestType::kShutdown: return "shutdown";
@@ -218,7 +217,6 @@ bool parse_request(const std::string& line, size_t max_bytes, SweepRequest& out,
             const std::string name = read_string(*type, "type");
             if (name == "sweep") out.type = RequestType::kSweep;
             else if (name == "stats") out.type = RequestType::kStats;
-            else if (name == "metrics") out.type = RequestType::kMetrics;
             else if (name == "trace") out.type = RequestType::kTrace;
             else if (name == "cancel") out.type = RequestType::kCancel;
             else if (name == "shutdown") out.type = RequestType::kShutdown;
@@ -317,7 +315,6 @@ bool parse_request(const std::string& line, size_t max_bytes, SweepRequest& out,
                 break;
             }
             case RequestType::kStats:
-            case RequestType::kMetrics:
             case RequestType::kTrace:
             case RequestType::kShutdown:
                 check_known_keys(root, "request", {"id", "type"});
@@ -393,14 +390,6 @@ std::string result_chunk_event(const std::string& id, size_t seq, bool last,
     out += ", \"last\": ";
     out += last ? "true" : "false";
     out += ", \"data\": " + json_string(std::string(data));
-    out += "}";
-    return out;
-}
-
-std::string metrics_event(const std::string& id, const std::string& prometheus) {
-    std::string out = event_head(id, "metrics");
-    out += ", \"format\": \"prometheus\"";
-    out += ", \"data\": " + json_string(prometheus);
     out += "}";
     return out;
 }

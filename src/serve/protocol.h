@@ -51,14 +51,12 @@ namespace sdlc::serve {
 enum class RequestType {
     kSweep,     ///< evaluate a SweepSpec, stream the results
     kStats,     ///< report service counters (cache, queue, timings)
-    kMetrics,   ///< dump Prometheus text-format metrics
     kTrace,     ///< return the last-N completed request trace trees
     kCancel,    ///< cancel a queued or running sweep by id
     kShutdown,  ///< stop intake, drain the queue, then exit
 };
 
-/// Short lowercase name ("sweep", "stats", "metrics", "trace", "cancel",
-/// "shutdown").
+/// Short lowercase name ("sweep", "stats", "trace", "cancel", "shutdown").
 [[nodiscard]] const char* request_type_name(RequestType t) noexcept;
 
 /// One parsed request line.
@@ -213,7 +211,6 @@ struct ServiceStats {
 [[nodiscard]] std::string result_event(const std::string& id, const std::string& dse_json);
 [[nodiscard]] std::string result_chunk_event(const std::string& id, size_t seq, bool last,
                                              std::string_view data);
-[[nodiscard]] std::string metrics_event(const std::string& id, const std::string& prometheus);
 [[nodiscard]] std::string stats_event(const std::string& id, const ServiceStats& stats);
 [[nodiscard]] std::string error_event(const std::string& id, const std::string& code,
                                       const std::string& message);

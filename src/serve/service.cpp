@@ -4,7 +4,6 @@
 #include <string_view>
 
 #include "dse/evaluator.h"
-#include "serve/metrics.h"
 #include "util/json.h"
 
 namespace sdlc::serve {
@@ -116,7 +115,7 @@ bool SweepService::submit_job(const SweepRequest& request, std::shared_ptr<Respo
     auto failed_sink = job.sink;  // push moves the job away
     const auto cancel_flag = job.cancel;
     const std::string id = request.id;
-    // Control requests (stats, metrics, shutdown) must stay serviceable
+    // Control requests (stats, trace, shutdown) must stay serviceable
     // during the very overload they exist to observe and resolve, so they
     // never block on — or get shed from — a full queue: they ride the
     // queue when there is room (normal FIFO semantics) and are answered
@@ -151,9 +150,6 @@ bool SweepService::submit_job(const SweepRequest& request, std::shared_ptr<Respo
             switch (request.type) {
                 case RequestType::kStats:
                     failed_sink->write_line(stats_event(id, stats()));
-                    break;
-                case RequestType::kMetrics:
-                    failed_sink->write_line(metrics_event(id, prometheus_metrics(stats())));
                     break;
                 case RequestType::kTrace:
                     failed_sink->write_line(trace_event(id, trace_trees()));
@@ -296,21 +292,12 @@ void SweepService::process(Job& job) {
             run_sweep(job, queue_wait_s);
             break;
         case RequestType::kStats:
-        case RequestType::kMetrics:
         case RequestType::kTrace: {
             const char* verb = request_type_name(request.type);
             CountingSink counting(sink);
-            switch (request.type) {
-                case RequestType::kStats:
-                    counting.write_line(stats_event(request.id, stats()));
-                    break;
-                case RequestType::kMetrics:
-                    counting.write_line(metrics_event(request.id, prometheus_metrics(stats())));
-                    break;
-                default:
-                    counting.write_line(trace_event(request.id, trace_trees()));
-                    break;
-            }
+            counting.write_line(request.type == RequestType::kStats
+                                    ? stats_event(request.id, stats())
+                                    : trace_event(request.id, trace_trees()));
             counting.write_line(done_event(request.id, true));
             access_log_line(request.id, verb, request.trace, "ok", queue_wait_s,
                             seconds_since(job.arrival), counting.bytes(), false, false);

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <ctime>
 #include <stdexcept>
+#include <utility>
 
 namespace sdlc::serve {
 
@@ -238,8 +239,6 @@ bool connect_bounded(int fd, const sockaddr* addr, socklen_t len, int timeout_ms
     return ok;
 }
 
-}  // namespace
-
 int unix_socket_connect(const std::string& path, int timeout_ms) {
     const sockaddr_un addr = make_address(path);
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -256,7 +255,6 @@ int unix_socket_connect(const std::string& path, int timeout_ms) {
 }
 
 int tcp_connect(const std::string& host, uint16_t port, int timeout_ms) {
-    if (host.empty()) throw std::runtime_error("tcp connect: host must be non-empty");
     const ResolvedAddress resolved(host, port, /*passive=*/false);
     int last_errno = 0;
     for (const addrinfo* ai = resolved.list; ai != nullptr; ai = ai->ai_next) {
@@ -272,6 +270,14 @@ int tcp_connect(const std::string& host, uint16_t port, int timeout_ms) {
     }
     errno = last_errno;
     throw_errno("connect tcp " + host + ":" + std::to_string(port));
+}
+
+}  // namespace
+
+int connect_peer(const CachePeerAddress& peer, int timeout_ms) {
+    if (peer.is_unix) return unix_socket_connect(peer.path_or_host, timeout_ms);
+    return tcp_connect(peer.path_or_host.empty() ? "127.0.0.1" : peer.path_or_host, peer.port,
+                       timeout_ms);
 }
 
 bool parse_host_port(const std::string& spec, std::string& host, uint16_t& port,
@@ -333,40 +339,100 @@ bool write_all(int fd, std::string_view data) {
     return true;
 }
 
-bool LineReader::next(std::string& line) {
-    while (true) {
-        const size_t newline = buffer_.find('\n');
-        if (newline != std::string::npos) {
-            line.assign(buffer_, 0, newline);
-            buffer_.erase(0, newline + 1);
-            return true;
-        }
-        if (max_line_ != 0 && buffer_.size() > max_line_) {
-            eof_ = true;  // runaway unterminated line: drop the stream
-            overflowed_ = true;
-            buffer_.clear();
-            return false;
-        }
-        if (eof_) {
-            if (buffer_.empty()) return false;
-            line = std::move(buffer_);
-            buffer_.clear();
-            return true;
-        }
-        char chunk[4096];
-        const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            eof_ = true;
-            buffer_.clear();  // error-truncated bytes must not become a line
-            continue;
-        }
-        if (n == 0) {
-            eof_ = true;
-            continue;
-        }
-        buffer_.append(chunk, static_cast<size_t>(n));
+StreamReader::Fill StreamReader::fill() {
+    char chunk[16384];
+    ssize_t n;
+    while ((n = ::read(fd_, chunk, sizeof chunk)) < 0 && errno == EINTR) {
     }
+    if (n < 0) return Fill::kError;
+    if (n == 0) return Fill::kEof;
+    buffer_.append(chunk, static_cast<size_t>(n));
+    bytes_read_ += static_cast<uint64_t>(n);
+    return Fill::kData;
+}
+
+bool StreamReader::take_line(std::string& line, size_t max_line) {
+    const size_t newline = buffer_.find('\n', scanned_);
+    if (newline != std::string::npos) {
+        line.assign(buffer_, 0, newline);
+        buffer_.erase(0, newline + 1);
+        scanned_ = 0;
+        return true;
+    }
+    scanned_ = buffer_.size();
+    if (max_line != 0 && buffer_.size() > max_line) {
+        overflowed_ = true;  // runaway unterminated line: drop the stream
+        buffer_.clear();
+        scanned_ = 0;
+    }
+    return false;
+}
+
+bool StreamReader::take_exact(size_t count, std::string& out) {
+    if (buffer_.size() < count) return false;
+    out.assign(buffer_, 0, count);
+    buffer_.erase(0, count);
+    scanned_ = 0;
+    return true;
+}
+
+StreamReader::Head StreamReader::take_head(size_t cap, std::string& head) {
+    const size_t crlf = buffer_.find("\r\n\r\n");
+    const size_t lf = buffer_.find("\n\n");
+    size_t end = std::string::npos;
+    if (crlf != std::string::npos && (lf == std::string::npos || crlf < lf)) {
+        end = crlf + 4;
+    } else if (lf != std::string::npos) {
+        end = lf + 2;
+    }
+    // A complete head is still held to the cap: arriving in one read must
+    // not exempt it.
+    if (end == std::string::npos) return buffer_.size() > cap ? Head::kOverflow : Head::kIncomplete;
+    if (end > cap) return Head::kOverflow;
+    (void)take_exact(end, head);
+    return Head::kComplete;
+}
+
+bool StreamReader::next_line(std::string& line, size_t max_line) {
+    while (!take_line(line, max_line)) {
+        if (overflowed_) return false;
+        switch (fill()) {
+            case Fill::kData:
+                break;
+            case Fill::kEof:
+                if (buffer_.empty()) return false;
+                line = std::exchange(buffer_, std::string());
+                scanned_ = 0;
+                return true;
+            case Fill::kError:
+                buffer_.clear();  // error-truncated bytes must not become a line
+                scanned_ = 0;
+                return false;
+        }
+    }
+    return true;
+}
+
+bool StreamReader::read_exact(size_t count, std::string& out) {
+    while (!take_exact(count, out)) {
+        if (fill() != Fill::kData) return false;
+    }
+    return true;
+}
+
+StreamReader::Head StreamReader::read_head(size_t cap, std::string& head) {
+    Head state;
+    while ((state = take_head(cap, head)) == Head::kIncomplete) {
+        if (fill() != Fill::kData) break;
+    }
+    return state;
+}
+
+std::string StreamReader::read_to_eof() {
+    while (fill() == Fill::kData) {
+    }
+    scanned_ = 0;
+    return std::exchange(buffer_, std::string());
 }
 
 FdSink::FdSink(int fd, bool owns_fd) : fd_(fd), owns_fd_(owns_fd) {

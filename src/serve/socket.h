@@ -4,13 +4,14 @@
 // The service itself is transport-agnostic (it talks ResponseSink); this
 // file supplies the pieces `serve_tool` composes into a socket server and
 // client: listeners whose accept() can be unblocked from another thread,
-// connect helpers, a buffered line reader, and an FdSink that writes
-// NDJSON lines to a connected peer. Both listeners share one accept/close
-// implementation (SocketListener), so the TCP path reuses the Unix path's
-// timeout tick, EINTR handling and fd-exhaustion backoff — only the bind
-// differs. A peer that disappears mid-stream must not take the service
-// down, so FdSink swallows write errors (further lines are dropped)
-// instead of throwing into the evaluator.
+// one connect helper, the one buffered StreamReader every transport reads
+// through, and an FdSink that writes NDJSON lines to a connected peer.
+// Both listeners share one accept/close implementation (SocketListener),
+// so the TCP path reuses the Unix path's timeout tick, EINTR handling and
+// fd-exhaustion backoff — only the bind differs. A peer that disappears
+// mid-stream must not take the service down, so FdSink swallows write
+// errors (further lines are dropped) instead of throwing into the
+// evaluator.
 #ifndef SDLC_SERVE_SOCKET_H
 #define SDLC_SERVE_SOCKET_H
 
@@ -21,6 +22,7 @@
 #include <string>
 #include <string_view>
 
+#include "dse/remote_cache.h"
 #include "serve/sink.h"
 
 namespace sdlc::serve {
@@ -94,17 +96,13 @@ private:
     uint16_t port_ = 0;
 };
 
-/// Connects to a listening Unix-domain socket; returns the fd (caller owns
-/// it). `timeout_ms` bounds the connect itself (non-blocking connect +
-/// poll; -1 = block indefinitely, the classic behavior). Throws
-/// std::runtime_error on failure or timeout.
-[[nodiscard]] int unix_socket_connect(const std::string& path, int timeout_ms = -1);
-
-/// Connects to host:port over TCP; returns the fd (caller owns it).
-/// `timeout_ms` bounds each address's connect attempt (name resolution is
-/// not covered; pass numeric peers when that matters). Throws
-/// std::runtime_error on failure or timeout.
-[[nodiscard]] int tcp_connect(const std::string& host, uint16_t port, int timeout_ms = -1);
+/// Connects to a peer: a Unix-domain socket path, or TCP host:port with an
+/// empty host meaning 127.0.0.1. Returns the fd (caller owns it).
+/// `timeout_ms` bounds each connect attempt (non-blocking connect + poll;
+/// -1 = block indefinitely; TCP name resolution is not covered, so pass
+/// numeric peers when that matters). Throws std::runtime_error on failure
+/// or timeout.
+[[nodiscard]] int connect_peer(const CachePeerAddress& peer, int timeout_ms = -1);
 
 /// Splits "HOST:PORT" at the last colon ("[::1]:70" style brackets are
 /// stripped from the host; an empty host — ":8331" — is allowed and means
@@ -121,33 +119,66 @@ private:
 /// (e.g. the peer closed the connection).
 bool write_all(int fd, std::string_view data);
 
-/// Buffered newline-delimited reader over a file descriptor.
-class LineReader {
+/// The one buffered reader over a connection (or stdin) fd. Framing and
+/// I/O are kept apart: the take_* extractors only look at bytes already
+/// buffered and never block, and fill() performs a single read. Each
+/// caller composes its own wait policy from the two — the servers and
+/// clients block through next_line / read_exact / read_head, while the
+/// cluster coordinator polls with its tick and checks abort and silence
+/// between fills. The newline scan resumes where the last one stopped, so
+/// no caller rescans its buffer.
+class StreamReader {
 public:
-    /// `max_line` bounds the partial-line buffer (0 = unbounded). A server
-    /// must pass its request-size cap (plus slack): the protocol-level
-    /// too_large rejection only fires once a complete line exists, so
-    /// without this bound a peer streaming bytes with no newline would
-    /// grow the buffer without limit.
-    explicit LineReader(int fd, size_t max_line = 0) : fd_(fd), max_line_(max_line) {}
+    explicit StreamReader(int fd) : fd_(fd) {}
 
-    /// Reads the next '\n'-terminated line (newline stripped) into `line`.
-    /// Returns false on EOF, read error, or an over-long unterminated
-    /// line. A final unterminated (but in-bounds) line at clean EOF is
-    /// still delivered; bytes truncated by a read *error* are discarded —
-    /// a half-received request must never execute.
-    bool next(std::string& line);
+    enum class Fill { kData, kEof, kError };
+    /// One read (EINTR retried): appends what arrived and counts it in
+    /// bytes_read(). kEof on a clean close, kError on a read error.
+    Fill fill();
 
-    /// True when the stream ended because an unterminated line outgrew
-    /// `max_line` — lets a server answer with a too_large error event
-    /// before dropping the connection, matching the protocol contract.
+    /// Takes the next '\n'-terminated line (newline stripped; a '\r' is
+    /// kept). False when no complete line is buffered — or when an
+    /// unterminated line outgrew `max_line` (0 = unbounded): that sets
+    /// overflowed() and drops the buffer.
+    bool take_line(std::string& line, size_t max_line = 0);
+
+    /// Takes exactly `count` bytes; false while fewer are buffered.
+    bool take_exact(size_t count, std::string& out);
+
+    /// Takes an HTTP head: every byte up to and including the first blank
+    /// line ("\r\n\r\n" or "\n\n"), leaving any body prefix buffered.
+    /// kOverflow when the head — complete or not — exceeds `cap` bytes.
+    enum class Head { kIncomplete, kComplete, kOverflow };
+    Head take_head(size_t cap, std::string& head);
+
+    /// Blocking line read for servers and clients. False on EOF, read
+    /// error or overflow. A final unterminated (but in-bounds) line at a
+    /// clean EOF is still delivered; bytes cut off by a read *error* are
+    /// discarded — a half-received request must never execute.
+    bool next_line(std::string& line, size_t max_line = 0);
+
+    /// Blocks until `count` bytes are buffered and takes them; false on
+    /// EOF or error first.
+    bool read_exact(size_t count, std::string& out);
+
+    /// Blocks until take_head() completes or overflows; kIncomplete means
+    /// the stream ended (EOF or error) first.
+    Head read_head(size_t cap, std::string& head);
+
+    /// Blocks until EOF or error, then takes everything buffered.
+    std::string read_to_eof();
+
+    /// True once an unterminated line outgrew its cap — lets a server
+    /// answer with a too_large error event before dropping the connection,
+    /// matching the protocol contract.
     [[nodiscard]] bool overflowed() const noexcept { return overflowed_; }
+    [[nodiscard]] uint64_t bytes_read() const noexcept { return bytes_read_; }
 
 private:
     int fd_;
-    size_t max_line_;
     std::string buffer_;
-    bool eof_ = false;
+    size_t scanned_ = 0;  ///< prefix of buffer_ already known newline-free
+    uint64_t bytes_read_ = 0;
     bool overflowed_ = false;
 };
 

@@ -67,22 +67,27 @@ void serve_connection_loop(SocketListener& listener, SweepService& service,
     connections.clear();
 }
 
+void serve_lines(int fd, SweepService& service, size_t max_request_bytes,
+                 const std::shared_ptr<ResponseSink>& sink) {
+    StreamReader reader(fd);
+    std::string line;
+    while (reader.next_line(line, max_request_bytes + 1)) {
+        if (line.empty()) continue;
+        if (!service.submit_line(line, sink)) break;  // draining: stop reading
+    }
+    if (reader.overflowed()) {
+        // The protocol promises a machine-readable rejection for oversized
+        // lines even when no newline ever arrives.
+        service.reject_oversized_line(*sink);
+    }
+}
+
 void serve_listener(SocketListener& listener, SweepService& service, size_t max_request_bytes,
                     bool install_shutdown_hook) {
     serve_connection_loop(
         listener, service,
-        [&service, max_line = max_request_bytes + 1](int fd, const std::shared_ptr<FdSink>& sink) {
-            LineReader reader(fd, max_line);
-            std::string line;
-            while (reader.next(line)) {
-                if (line.empty()) continue;
-                if (!service.submit_line(line, sink)) break;
-            }
-            if (reader.overflowed()) {
-                // The protocol promises a machine-readable rejection for
-                // oversized lines even when no newline ever arrives.
-                service.reject_oversized_line(*sink);
-            }
+        [&service, max_request_bytes](int fd, const std::shared_ptr<FdSink>& sink) {
+            serve_lines(fd, service, max_request_bytes, sink);
         },
         install_shutdown_hook);
 }

@@ -1,5 +1,7 @@
 // Front-end glue shared by every stream-socket transport (Unix-domain and
-// TCP): accept connections, read request lines, stream response events.
+// TCP) and the stdio server: accept connections, read request lines
+// through the one StreamReader (serve/socket.h) in serve_lines(), stream
+// response events.
 //
 // serve_listener() owns the lifecycle that used to live in serve_tool's
 // socket mode and is now common to both transports and to in-process
@@ -41,12 +43,19 @@ using ConnectionHandler = std::function<void(int fd, const std::shared_ptr<FdSin
 void serve_connection_loop(SocketListener& listener, SweepService& service,
                            const ConnectionHandler& handler, bool install_shutdown_hook);
 
+/// Feeds the NDJSON request lines read from `fd` (a connection, or stdin)
+/// to `service` with `sink` as every request's response sink, until EOF, a
+/// read error, or the service starts draining. `max_request_bytes` must
+/// mirror the service's request-size cap: it bounds the unterminated line
+/// a peer can make the reader buffer, and a line outgrowing it is answered
+/// with the protocol's too_large rejection before the stream ends.
+void serve_lines(int fd, SweepService& service, size_t max_request_bytes,
+                 const std::shared_ptr<ResponseSink>& sink);
+
 /// Serves the NDJSON line protocol on `listener` until the service shuts
 /// down (a `shutdown` request, or the service's shutdown hook firing from
 /// another thread). Blocks until every accepted connection is drained and
-/// joined. `max_request_bytes` must mirror the service's request-size cap
-/// (it bounds the per-connection LineReader so a peer streaming bytes
-/// without a newline cannot grow the buffer without limit). See
+/// joined. Each connection runs serve_lines with `max_request_bytes`. See
 /// serve_connection_loop for `install_shutdown_hook`.
 void serve_listener(SocketListener& listener, SweepService& service, size_t max_request_bytes,
                     bool install_shutdown_hook = true);

@@ -174,8 +174,10 @@ TEST(Exhaustive, ExactMultiplierHasNoError) {
 
 TEST(Exhaustive, ThreadCountDoesNotChangeResult) {
     auto approx = [](uint64_t a, uint64_t b) { return (a * b) & ~uint64_t{1}; };
-    const ErrorMetrics m1 = exhaustive_metrics(7, approx, 1);
-    const ErrorMetrics m4 = exhaustive_metrics(7, approx, 4);
+    ThreadPool one(1);
+    ThreadPool four(4);
+    const ErrorMetrics m1 = exhaustive_metrics(7, approx, &one);
+    const ErrorMetrics m4 = exhaustive_metrics(7, approx, &four);
     EXPECT_DOUBLE_EQ(m1.mred, m4.mred);
     EXPECT_DOUBLE_EQ(m1.med, m4.med);
     EXPECT_EQ(m1.samples, m4.samples);

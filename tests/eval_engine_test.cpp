@@ -8,8 +8,8 @@
 //      service evaluating hundreds of exhaustive points per request
 //      multiplied that into hundreds of short-lived threads, all fighting
 //      the service's own ThreadPool. The contract now: default calls run
-//      inline, a provided ThreadPool is sharded over, and dedicated
-//      threads appear only for an explicit max_threads > 1.
+//      inline, a provided ThreadPool is sharded over, and the engines
+//      never start threads of their own.
 //
 //   2. The exhaustive-vs-sampled cutoff: one pair budget per function
 //      evaluation, charged 4^width x a static per-path weight, so the
@@ -69,8 +69,8 @@ MultiplierConfig sdlc_config(int width, int depth) {
 }
 
 TEST(EvalThreading, DefaultCallsSpawnNoThreads) {
-    // The regression: a default (max_threads = 0) exhaustive evaluation
-    // must run inline. Run a batch of them on a single pool worker while
+    // The regression: a default (pool-less) exhaustive evaluation must run
+    // inline. Run a batch of them on a single pool worker while
     // the main thread samples the process thread count — under the old
     // per-call std::thread spawning the count visibly exceeds the
     // baseline; under the contract it can never move.
@@ -95,15 +95,14 @@ TEST(EvalThreading, DefaultCallsSpawnNoThreads) {
     EXPECT_EQ(count_threads(), baseline);
 }
 
-TEST(EvalThreading, PoolShardingIdenticalAndExplicitThreadsStillWork) {
+TEST(EvalThreading, PoolShardingIsBitIdenticalAtEveryPoolSize) {
     const MultiplierConfig config = sdlc_config(7, 2);
     const MultiplyKernel kernel(config);
     const ErrorMetrics inline_m = exhaustive_metrics(config.width, kernel);
-    ThreadPool pool(3);
-    EXPECT_EQ(exhaustive_metrics(config.width, kernel, 0, &pool), inline_m);
-    // Explicit worker counts are the CLI escape hatch; still bit-identical.
-    EXPECT_EQ(exhaustive_metrics(config.width, kernel, 4), inline_m);
-    EXPECT_EQ(exhaustive_metrics(config.width, kernel, 1), inline_m);
+    for (const unsigned threads : {1u, 3u, 4u}) {
+        ThreadPool pool(threads);
+        EXPECT_EQ(exhaustive_metrics(config.width, kernel, &pool), inline_m) << threads;
+    }
 }
 
 TEST(EvalThreading, ServiceThreadCountBoundedUnderConcurrentRequests) {
@@ -381,12 +380,12 @@ TEST(EngineStop, CheckedOncePerShardAndEvery4096Samples) {
     const StopCheck count = [&calls] { calls.fetch_add(1); };
 
     const ErrorMetrics plain = exhaustive_metrics(config.width, kernel);
-    EXPECT_EQ(exhaustive_metrics(config.width, kernel, 0, nullptr, count), plain);
+    EXPECT_EQ(exhaustive_metrics(config.width, kernel, nullptr, count), plain);
     EXPECT_EQ(calls.exchange(0), kExhaustiveShards);
     ThreadPool pool(3);
-    EXPECT_EQ(exhaustive_metrics(config.width, kernel, 0, &pool, count), plain);
+    EXPECT_EQ(exhaustive_metrics(config.width, kernel, &pool, count), plain);
     EXPECT_EQ(calls.exchange(0), kExhaustiveShards);
-    EXPECT_EQ(exhaustive_metrics_sliced(sliced, 0, nullptr, count), plain);
+    EXPECT_EQ(exhaustive_metrics_sliced(sliced, nullptr, count), plain);
     EXPECT_EQ(calls.exchange(0), kExhaustiveShards);
 
     const auto uniform = [](Xoshiro256& rng, uint64_t mask) { return rng.next() & mask; };
@@ -406,13 +405,11 @@ TEST(EngineStop, AThrowingCheckAbandonsEveryEngine) {
         if (calls.fetch_add(1) >= 5) throw Stopped{};
     };
     ThreadPool pool(3);
-    EXPECT_THROW((void)exhaustive_metrics(config.width, kernel, 0, nullptr, stop), Stopped);
+    EXPECT_THROW((void)exhaustive_metrics(config.width, kernel, nullptr, stop), Stopped);
     EXPECT_EQ(calls.exchange(0), 6u);
-    EXPECT_THROW((void)exhaustive_metrics(config.width, kernel, 0, &pool, stop), Stopped);
+    EXPECT_THROW((void)exhaustive_metrics(config.width, kernel, &pool, stop), Stopped);
     calls = 0;
-    EXPECT_THROW((void)exhaustive_metrics(config.width, kernel, 4, nullptr, stop), Stopped);
-    calls = 0;
-    EXPECT_THROW((void)exhaustive_metrics_sliced(sliced, 0, &pool, stop), Stopped);
+    EXPECT_THROW((void)exhaustive_metrics_sliced(sliced, &pool, stop), Stopped);
     calls = 0;
     EXPECT_THROW((void)sampled_metrics(
                      config.width, 100000, 7, kernel,

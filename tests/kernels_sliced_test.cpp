@@ -165,10 +165,9 @@ TEST(SlicedKernel, WideWidthsCornersAndRandomStreams) {
 }
 
 /// exhaustive_metrics over the scalar kernel for `config`.
-ErrorMetrics scalar_exhaustive(const MultiplierConfig& config, unsigned max_threads = 0,
-                               ThreadPool* pool = nullptr) {
+ErrorMetrics scalar_exhaustive(const MultiplierConfig& config, ThreadPool* pool = nullptr) {
     const MultiplyKernel kernel(config);
-    return exhaustive_metrics(config.width, kernel, max_threads, pool);
+    return exhaustive_metrics(config.width, kernel, pool);
 }
 
 TEST(SlicedEngine, MetricsBitIdenticalAcrossWidthsAndThreading) {
@@ -181,21 +180,23 @@ TEST(SlicedEngine, MetricsBitIdenticalAcrossWidthsAndThreading) {
         make_config(10, 2, MultiplierVariant::kCompensated),
         make_config(10, 7, MultiplierVariant::kCompensated),
     };
+    ThreadPool one(1);
     ThreadPool pool(3);
+    ThreadPool four(4);
     for (const MultiplierConfig& config : configs) {
         SCOPED_TRACE(ApproxMultiplier(config).describe());
         const SlicedMultiplyKernel kernel(config);
         const ErrorMetrics reference = scalar_exhaustive(config);
 
         EXPECT_EQ(exhaustive_metrics_sliced(kernel), reference);
-        EXPECT_EQ(exhaustive_metrics_sliced(kernel, 1), reference);
-        EXPECT_EQ(exhaustive_metrics_sliced(kernel, 4), reference);
-        EXPECT_EQ(exhaustive_metrics_sliced(kernel, 0, &pool), reference);
+        EXPECT_EQ(exhaustive_metrics_sliced(kernel, &one), reference);
+        EXPECT_EQ(exhaustive_metrics_sliced(kernel, &four), reference);
+        EXPECT_EQ(exhaustive_metrics_sliced(kernel, &pool), reference);
 
         // And the scalar engine agrees with itself across its own modes
         // (the merge order, not the thread count, defines the result).
-        EXPECT_EQ(scalar_exhaustive(config, 4), reference);
-        EXPECT_EQ(scalar_exhaustive(config, 0, &pool), reference);
+        EXPECT_EQ(scalar_exhaustive(config, &four), reference);
+        EXPECT_EQ(scalar_exhaustive(config, &pool), reference);
     }
 }
 
@@ -210,8 +211,8 @@ TEST(SlicedEngine, MetricsBitIdenticalEveryDepthWidth10) {
             const MultiplierConfig config = make_config(10, depth, variant);
             SCOPED_TRACE(ApproxMultiplier(config).describe());
             const SlicedMultiplyKernel kernel(config);
-            EXPECT_EQ(exhaustive_metrics_sliced(kernel, 0, &pool),
-                      scalar_exhaustive(config, 0, &pool));
+            EXPECT_EQ(exhaustive_metrics_sliced(kernel, &pool),
+                      scalar_exhaustive(config, &pool));
         }
     }
 }
@@ -225,8 +226,8 @@ TEST(SlicedEngine, MetricsBitIdenticalWidth12) {
           make_config(12, 12, MultiplierVariant::kCompensated)}) {
         SCOPED_TRACE(ApproxMultiplier(config).describe());
         const SlicedMultiplyKernel kernel(config);
-        EXPECT_EQ(exhaustive_metrics_sliced(kernel, 0, &pool),
-                  scalar_exhaustive(config, 0, &pool));
+        EXPECT_EQ(exhaustive_metrics_sliced(kernel, &pool),
+                  scalar_exhaustive(config, &pool));
     }
 }
 

@@ -26,12 +26,19 @@ check_exit() { # name expected actual
 }
 
 sock="$workdir/dse.sock"
-"$tool" --listen "$sock" --threads 1 2>server.log &
+"$tool" --listen "$sock" --threads 1 --listen-http 127.0.0.1:0 2>server.log &
 server=$!
 # Generous bind wait: ctest -j on a loaded box can starve the server
-# briefly at startup.
-for _ in $(seq 600); do [ -S "$sock" ] && break; sleep 0.1; done
-[ -S "$sock" ] || { echo "FAIL: server never bound $sock" >&2; cat server.log >&2; exit 1; }
+# briefly at startup. The HTTP line is logged after the socket is bound.
+mport=""
+for _ in $(seq 600); do
+    mport=$(sed -n 's/^serve_tool: http listening on tcp:127\.0\.0\.1:\([0-9]*\)$/\1/p' server.log)
+    [ -n "$mport" ] && break
+    sleep 0.1
+done
+[ -S "$sock" ] && [ -n "$mport" ] || {
+    echo "FAIL: server never bound $sock and its HTTP door" >&2; cat server.log >&2; exit 1
+}
 
 # A successful tiny sweep exits 0.
 echo '{"id":"ok","spec":{"width":4,"variants":["sdlc"],"schemes":["ripple"]}}' >good.ndjson
@@ -84,10 +91,11 @@ if [ ! -s chunked.json ]; then
     failures=$((failures + 1))
 fi
 
-# --scrape robustness: a healthy server yields clean exposition text (0)
-# carrying the uptime/build_info gauges; pointing serve_tool's scraper at an
-# endpoint speaking another dialect is a transport-grade failure (3).
-"$tool" --scrape --socket "$sock" >scrape.txt
+# --scrape robustness: a healthy server's HTTP door yields clean exposition
+# text (0) carrying the uptime/build_info gauges; pointing serve_tool's
+# scraper at an endpoint serving something else is a transport-grade
+# failure (3).
+"$tool" --scrape --http "127.0.0.1:$mport" >scrape.txt
 check_exit "scrape healthy server" 0 $?
 grep -q '^sdlc_serve_build_info{version=' scrape.txt || {
     echo "FAIL: scrape output lacks sdlc_serve_build_info" >&2
@@ -97,22 +105,26 @@ grep -q '^sdlc_serve_uptime_seconds ' scrape.txt || {
     echo "FAIL: scrape output lacks sdlc_serve_uptime_seconds" >&2
     failures=$((failures + 1))
 }
-# A one-shot listener that answers any request line with a line of another
-# protocol, then hangs up.
-xsock="$workdir/xwire.sock"
-python3 - "$xsock" <<'PY' &
-import socket, sys
-srv = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-srv.bind(sys.argv[1])
+# A one-shot HTTP server that answers any request 200 with a body that is
+# not exposition text, then hangs up.
+python3 - "$workdir/xport" <<'PY' &
+import os, socket, sys
+srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+srv.bind(("127.0.0.1", 0))
 srv.listen(1)
+with open(sys.argv[1] + ".tmp", "w") as f:
+    f.write(str(srv.getsockname()[1]))
+os.rename(sys.argv[1] + ".tmp", sys.argv[1])
 conn, _ = srv.accept()
 conn.recv(4096)
-conn.sendall(b'{"ok": true, "op": "stats"}\n')
+body = b'{"ok": true, "op": "stats"}\n'
+conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: %d\r\n"
+             b"Connection: close\r\n\r\n%s" % (len(body), body))
 conn.close()
 PY
 xwire=$!
-for _ in $(seq 600); do [ -S "$xsock" ] && break; sleep 0.1; done
-"$tool" --scrape --socket "$xsock" 2>/dev/null
+for _ in $(seq 600); do [ -s "$workdir/xport" ] && break; sleep 0.1; done
+"$tool" --scrape --http "127.0.0.1:$(cat "$workdir/xport")" 2>/dev/null
 check_exit "serve scrape against another protocol" 3 $?
 wait "$xwire" 2>/dev/null
 
@@ -131,6 +143,12 @@ check_exit "connect to dead socket" 3 $?
 check_exit "non-numeric option value" 2 $?
 "$tool" --client good.ndjson 2>/dev/null
 check_exit "client without destination" 2 $?
+# Prometheus text is served only at GET /metrics: a line-socket scrape is
+# a usage error.
+"$tool" --scrape --socket "$sock" 2>/dev/null
+check_exit "scrape over a line socket" 2 $?
+"$tool" --scrape 2>/dev/null
+check_exit "scrape without --http" 2 $?
 "$tool" --no-sliced </dev/null 2>/dev/null
 check_exit "removed --no-sliced server flag" 2 $?
 
@@ -186,14 +204,14 @@ check_exit "zero shards" 2 $?
 check_exit "non-numeric shards" 2 $?
 "$tool" --client good.ndjson --socket "$sock" --workers unix:w.sock 2>/dev/null
 check_exit "workers in client mode" 2 $?
-"$tool" --scrape --socket "$sock" --shards 4 2>/dev/null
+"$tool" --scrape --http 127.0.0.1:1 --shards 4 2>/dev/null
 check_exit "shards in scrape mode" 2 $?
 
 # Observability flag usage contract: --access-log and --trace-out are
 # server-side options; dangling values are usage errors.
 "$tool" --client good.ndjson --socket "$sock" --access-log a.log 2>/dev/null
 check_exit "access log in client mode" 2 $?
-"$tool" --scrape --socket "$sock" --trace-out t.json 2>/dev/null
+"$tool" --scrape --http 127.0.0.1:1 --trace-out t.json 2>/dev/null
 check_exit "trace out in scrape mode" 2 $?
 "$tool" --access-log 2>/dev/null
 check_exit "access log without value" 2 $?

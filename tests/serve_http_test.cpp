@@ -130,13 +130,10 @@ struct HttpFixture {
 /// Writes `request` raw and reads the connection to EOF (requests here
 /// either say Connection: close or provoke a server-side close).
 std::string raw_exchange(uint16_t port, const std::string& request) {
-    const int fd = tcp_connect("127.0.0.1", port);
+    const int fd = connect_peer({false, "127.0.0.1", port});
     EXPECT_GE(fd, 0);
     EXPECT_TRUE(write_all(fd, request));
-    std::string out;
-    char chunk[4096];
-    ssize_t n;
-    while ((n = ::read(fd, chunk, sizeof chunk)) > 0) out.append(chunk, static_cast<size_t>(n));
+    const std::string out = StreamReader(fd).read_to_eof();
     ::close(fd);
     return out;
 }
@@ -228,16 +225,13 @@ TEST(ServeHttp, HealthzAndMetricsAnswer) {
 
 TEST(ServeHttp, KeepAliveServesSequentialRequests) {
     HttpFixture fx;
-    const int fd = tcp_connect("127.0.0.1", fx.port());
+    const int fd = connect_peer({false, "127.0.0.1", fx.port()});
     ASSERT_GE(fd, 0);
     ASSERT_TRUE(write_all(fd, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"));
     // Second request on the same connection, then close.
     ASSERT_TRUE(
         write_all(fd, "GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"));
-    std::string out;
-    char chunk[4096];
-    ssize_t n;
-    while ((n = ::read(fd, chunk, sizeof chunk)) > 0) out.append(chunk, static_cast<size_t>(n));
+    const std::string out = StreamReader(fd).read_to_eof();
     ::close(fd);
     size_t responses = 0;
     size_t at = 0;

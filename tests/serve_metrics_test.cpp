@@ -1,7 +1,8 @@
 // Prometheus metrics export: text-format shape (HELP/TYPE per family,
-// cumulative histogram buckets, +Inf == count), histogram bucketing, the
-// `metrics` request verb, and the new overload/deadline counters flowing
-// through ServiceStats into the exposition.
+// cumulative histogram buckets, +Inf == count), histogram bucketing,
+// `GET /metrics` on the HTTP front door (the one Prometheus path; the line
+// protocol has no `metrics` verb), and the new overload/deadline counters
+// flowing through ServiceStats into the exposition.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,12 +11,15 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "serve/http.h"
 #include "serve/metrics.h"
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "serve/sink.h"
+#include "serve/socket.h"
 #include "util/json_parse.h"
 
 namespace sdlc::serve {
@@ -127,8 +131,22 @@ TEST(PrometheusMetrics, RendersWellFormedExposition) {
     EXPECT_NE(text.find("sdlc_serve_request_duration_seconds_count 3\n"), std::string::npos);
 }
 
-TEST(ServeMetrics, MetricsRequestVerbAnswersPrometheusText) {
+/// `service`'s HTTP front door on an ephemeral port, for the scope's
+/// lifetime.
+struct HttpDoor {
+    SweepService& service;
+    TcpSocketServer listener{"127.0.0.1", 0};
+    std::thread loop{[this] { serve_http_listener(listener, service, HttpOptions{}); }};
+
+    ~HttpDoor() {
+        service.request_shutdown();  // fires the hook that closes the listener
+        loop.join();
+    }
+};
+
+TEST(ServeMetrics, HttpMetricsAnswersPrometheusText) {
     SweepService service;
+    HttpDoor door{service};
 
     // Run one tiny sweep so the counters are nonzero.
     auto sweep_sink = std::make_shared<RecordingSink>();
@@ -138,24 +156,20 @@ TEST(ServeMetrics, MetricsRequestVerbAnswersPrometheusText) {
         sweep_sink));
     sweep_sink->wait_done();
 
-    auto sink = std::make_shared<RecordingSink>();
-    ASSERT_TRUE(service.submit_line("{\"id\": \"m\", \"type\": \"metrics\"}", sink));
-    const auto events = sink->wait_done();
-    ASSERT_EQ(events.size(), 2u);
-
-    JsonValue event;
+    HttpClientResponse response;
     std::string error;
-    ASSERT_TRUE(json_parse(events[0], event, &error)) << error;
-    EXPECT_EQ(event.find("event")->string, "metrics");
-    EXPECT_EQ(event.find("format")->string, "prometheus");
-    const std::string& text = event.find("data")->string;
+    ASSERT_TRUE(http_request("127.0.0.1", door.listener.port(), "GET", "/metrics", "", "", response,
+                             &error))
+        << error;
+    EXPECT_EQ(response.status, 200);
+    EXPECT_EQ(response.headers["content-type"], "text/plain; version=0.0.4; charset=utf-8");
+    const std::string& text = response.body;
     EXPECT_NE(text.find("sdlc_serve_requests_total{outcome=\"completed\"} 1\n"),
               std::string::npos)
         << text;
     EXPECT_NE(text.find("sdlc_serve_points_evaluated_total 3\n"), std::string::npos) << text;
     EXPECT_NE(text.find("sdlc_serve_request_duration_seconds_count 1\n"), std::string::npos)
         << text;
-    EXPECT_NE(events[1].find("\"ok\": true"), std::string::npos);
 
     // The stats event carries the same new counters in JSON form.
     auto stats_sink = std::make_shared<RecordingSink>();
@@ -167,6 +181,19 @@ TEST(ServeMetrics, MetricsRequestVerbAnswersPrometheusText) {
     ASSERT_NE(requests, nullptr);
     ASSERT_NE(requests->find("deadline_exceeded"), nullptr);
     ASSERT_NE(requests->find("overloaded"), nullptr);
+}
+
+TEST(ServeMetrics, LineMetricsVerbIsAnInvalidRequest) {
+    SweepService service;
+    auto sink = std::make_shared<RecordingSink>();
+    ASSERT_TRUE(service.submit_line("{\"id\": \"m\", \"type\": \"metrics\"}", sink));
+    const auto events = sink->wait_done();
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_NE(events[0].find("\"event\": \"error\""), std::string::npos) << events[0];
+    EXPECT_NE(events[0].find("\"code\": \"invalid_request\""), std::string::npos) << events[0];
+    EXPECT_NE(events[0].find("unknown request type \\\"metrics\\\""), std::string::npos)
+        << events[0];
+    EXPECT_NE(events[1].find("\"ok\": false"), std::string::npos) << events[1];
 }
 
 }  // namespace

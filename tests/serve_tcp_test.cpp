@@ -1,4 +1,4 @@
-// TCP transport behind the ResponseSink/LineReader seam: endpoint
+// TCP transport behind the ResponseSink/StreamReader seam: endpoint
 // parsing, ephemeral-port binding, full request/response round-trips over
 // real sockets through the shared serve_listener() loop (the same code
 // path serve_tool --listen-tcp runs), concurrent clients, oversized-line
@@ -87,15 +87,15 @@ TEST(TcpSocketServerTest, EphemeralPortIsReportedAndConnectable) {
     EXPECT_GT(server.port(), 0) << "port 0 must resolve to the kernel-chosen port";
     EXPECT_EQ(server.endpoint(), "tcp:127.0.0.1:" + std::to_string(server.port()));
 
-    const int client = tcp_connect("127.0.0.1", server.port());
+    const int client = connect_peer({false, "127.0.0.1", server.port()});
     ASSERT_GE(client, 0);
     const int conn = server.accept_client(/*timeout_ms=*/5000);
     ASSERT_GE(conn, 0);
     // Bytes flow both ways through the accepted pair.
     ASSERT_TRUE(write_all(client, "ping\n"));
-    LineReader reader(conn);
+    StreamReader reader(conn);
     std::string line;
-    ASSERT_TRUE(reader.next(line));
+    ASSERT_TRUE(reader.next_line(line));
     EXPECT_EQ(line, "ping");
     ::close(conn);
     ::close(client);
@@ -143,17 +143,17 @@ struct TcpFixture {
 /// done events arrived (connection stays open meanwhile).
 std::vector<std::string> roundtrip(uint16_t port, const std::vector<std::string>& lines,
                                    size_t expect_done) {
-    const int fd = tcp_connect("127.0.0.1", port);
+    const int fd = connect_peer({false, "127.0.0.1", port});
     EXPECT_GE(fd, 0);
     for (const std::string& line : lines) {
         EXPECT_TRUE(write_all(fd, line));
         EXPECT_TRUE(write_all(fd, "\n"));
     }
-    LineReader reader(fd);
+    StreamReader reader(fd);
     std::vector<std::string> events;
     std::string line;
     size_t done = 0;
-    while (done < expect_done && reader.next(line)) {
+    while (done < expect_done && reader.next_line(line)) {
         events.push_back(line);
         if (line.find("\"event\": \"done\"") != std::string::npos) ++done;
     }
@@ -232,15 +232,15 @@ TEST(ServeTcp, OversizedUnterminatedLineGetsStructuredRejection) {
     opts.max_request_bytes = 512;
     TcpFixture fx(opts);
 
-    const int fd = tcp_connect("127.0.0.1", fx.listener->port());
+    const int fd = connect_peer({false, "127.0.0.1", fx.listener->port()});
     ASSERT_GE(fd, 0);
     // Stream far past the cap without ever sending a newline.
     const std::string junk(4096, 'x');
     ASSERT_TRUE(write_all(fd, junk));
-    LineReader reader(fd);
+    StreamReader reader(fd);
     std::string line;
     std::vector<std::string> events;
-    while (events.size() < 2 && reader.next(line)) events.push_back(line);
+    while (events.size() < 2 && reader.next_line(line)) events.push_back(line);
     ::close(fd);
     ASSERT_EQ(events.size(), 2u);
     EXPECT_NE(events[0].find("\"code\": \"too_large\""), std::string::npos) << events[0];

@@ -22,7 +22,9 @@
 //
 // Scrape mode (for a Prometheus textfile collector / cron scraper):
 //
-//   serve_tool --scrape --socket PATH   prints the raw Prometheus text
+//   serve_tool --scrape --http HOST:PORT   GET /metrics from a server's
+//                                          --listen-http front door; prints
+//                                          the validated exposition text
 //
 // Shutdown: a {"type": "shutdown"} request stops intake, drains every
 // queued request, then the server exits; so does EOF on stdin (stdio
@@ -41,7 +43,6 @@
 #include <thread>
 #include <vector>
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "cluster/coordinator.h"
@@ -112,11 +113,9 @@ using cli::Args;
         "                         (reassembles chunked result_chunk streams)\n"
         "    --quiet              do not echo the event stream to stdout\n"
         "  scrape:\n"
-        "    --scrape             fetch Prometheus metrics (with --socket/--tcp)\n"
-        "                         and print the raw exposition text to stdout\n"
-        "    --http HOST:PORT     scrape GET /metrics from an HTTP front door\n"
-        "                         instead (--auth-token-file adds the bearer\n"
-        "                         token); the text is validated the same way\n";
+        "    --scrape --http HOST:PORT  GET /metrics from a --listen-http front\n"
+        "                         door, validate the exposition text and print it\n"
+        "                         to stdout (--auth-token-file adds the bearer token)\n";
     std::exit(msg.empty() ? 0 : 2);
 }
 
@@ -168,23 +167,15 @@ std::unique_ptr<SweepService> make_service(const Args& args, const ServiceOption
     return std::make_unique<cluster::CoordinatorService>(opts, std::move(cluster));
 }
 
-/// Client/scrape destination: --socket PATH or --tcp HOST:PORT. Returns a
-/// connected fd (caller owns it).
-int connect_destination(const Args& args) {
-    const std::string socket_path = args.get("--socket");
-    const std::string tcp_spec = args.get("--tcp");
-    if (socket_path.empty() == tcp_spec.empty()) {
-        usage("give exactly one of --socket PATH or --tcp HOST:PORT");
-    }
-    if (!socket_path.empty()) return unix_socket_connect(socket_path);
-    std::string host;
-    uint16_t port = 0;
+/// Parses a HOST:PORT peer flag (port 0 is not connectable).
+CachePeerAddress tcp_peer(const Args& args, const char* flag) {
+    CachePeerAddress peer;
     std::string error;
-    if (!parse_host_port(tcp_spec, host, port, &error, /*allow_port_zero=*/false)) {
-        usage("--tcp: " + error);
+    if (!parse_host_port(args.get(flag), peer.path_or_host, peer.port, &error,
+                         /*allow_port_zero=*/false)) {
+        usage(std::string(flag) + ": " + error);
     }
-    if (host.empty()) host = "127.0.0.1";
-    return tcp_connect(host, port);
+    return peer;
 }
 
 // ------------------------------------------------------------ stdio mode ----
@@ -206,17 +197,7 @@ int run_stdio_server(const Args& args) {
         cv.notify_all();
     });
     std::thread reader([&] {
-        LineReader lines(STDIN_FILENO, opts.max_request_bytes + 1);
-        std::string line;
-        while (lines.next(line)) {
-            if (line.empty()) continue;
-            if (!service.submit_line(line, sink)) break;  // draining: stop reading
-        }
-        if (lines.overflowed()) {
-            sink->write_line(error_event(
-                "", "too_large", "unterminated request line exceeded the size cap"));
-            sink->write_line(done_event("", false));
-        }
+        serve_lines(STDIN_FILENO, service, opts.max_request_bytes, sink);
         {
             std::lock_guard<std::mutex> lock(mutex);
             reader_done = true;
@@ -348,7 +329,12 @@ int run_client(const Args& args) {
     }
     if (requests.empty()) usage("no request lines in " + request_path);
 
-    const int fd = connect_destination(args);
+    const std::string socket_path = args.get("--socket");
+    if (socket_path.empty() == !args.has("--tcp")) {
+        usage("give exactly one of --socket PATH or --tcp HOST:PORT");
+    }
+    const int fd = connect_peer(socket_path.empty() ? tcp_peer(args, "--tcp")
+                                                    : CachePeerAddress{true, socket_path, 0});
     // Send from a separate thread while the main thread drains responses:
     // writing everything first can deadlock once the server's bounded
     // request queue and both socket buffers fill (the server stops reading
@@ -363,7 +349,7 @@ int run_client(const Args& args) {
         }
     });
 
-    LineReader reader(fd);
+    StreamReader reader(fd);
     std::string line;
     size_t done = 0;
     bool all_ok = true;
@@ -388,7 +374,7 @@ int run_client(const Args& args) {
         return true;
     };
     bool aborted = false;  // client-side protocol/file error, not transport
-    while (done < requests.size() && reader.next(line)) {
+    while (done < requests.size() && reader.next_line(line)) {
         if (!quiet) std::cout << line << "\n";
         JsonValue event;
         if (!json_parse(line, event)) continue;  // not ours to validate
@@ -462,103 +448,33 @@ int run_client(const Args& args) {
 // ----------------------------------------------------------- scrape mode ----
 
 int run_scrape(const Args& args) {
-    if (args.has("--http")) {
-        if (args.has("--socket") || args.has("--tcp")) {
-            usage("give exactly one of --socket, --tcp or --http");
-        }
-        std::string host;
-        uint16_t port = 0;
-        std::string error;
-        if (!parse_host_port(args.get("--http"), host, port, &error,
-                             /*allow_port_zero=*/false)) {
-            usage("--http: " + error);
-        }
-        std::string token;
-        if (const std::string path = args.get("--auth-token-file"); !path.empty()) {
-            if (!read_auth_token_file(path, token, &error)) {
-                usage("--auth-token-file: " + error);
-            }
-        }
-        HttpClientResponse response;
-        if (!http_request(host.empty() ? "127.0.0.1" : host, port, "GET", "/metrics", "",
-                          token, response, &error)) {
-            std::cerr << "error: " << error << "\n";
-            return 3;
-        }
-        if (response.status != 200) {
-            std::cerr << "error: GET /metrics answered " << response.status << " "
-                      << response.reason << "\n";
-            return 3;
-        }
-        // The same dialect gate as the line-protocol scrape: garbage from a
-        // misdirected endpoint must never reach a collector.
-        std::string exposition_error;
-        if (!validate_exposition(response.body, &exposition_error)) {
-            std::cerr << "error: malformed exposition text: " << exposition_error << "\n";
-            return 3;
-        }
-        std::cout << response.body;
-        return 0;
+    if (!args.has("--http") || args.has("--socket") || args.has("--tcp")) {
+        usage("--scrape takes --http HOST:PORT (GET /metrics on a --listen-http front door)");
     }
-    const int fd = connect_destination(args);
-    const std::string request = "{\"id\": \"scrape\", \"type\": \"metrics\"}\n";
-    if (!write_all(fd, request)) {
-        std::cerr << "error: send failed\n";
-        ::close(fd);
+    const CachePeerAddress peer = tcp_peer(args, "--http");
+    std::string token;
+    std::string error;
+    if (const std::string path = args.get("--auth-token-file"); !path.empty()) {
+        if (!read_auth_token_file(path, token, &error)) usage("--auth-token-file: " + error);
+    }
+    HttpClientResponse response;
+    if (!http_request(peer.path_or_host, peer.port, "GET", "/metrics", "", token, response,
+                      &error)) {
+        std::cerr << "error: " << error << "\n";
         return 3;
     }
-    LineReader reader(fd);
-    std::string line;
-    std::string metrics;
-    bool got_metrics = false;
-    bool done = false;
-    // A scraper talks to exactly one kind of endpoint; anything that is not
-    // a clean metrics/done exchange with valid exposition text is a
-    // transport-contract violation (exit 3), so a misdirected scrape (a
-    // rogue process) can never feed garbage to a collector.
-    while (!done && reader.next(line)) {
-        JsonValue event;
-        if (!json_parse(line, event) || !event.is_object()) {
-            std::cerr << "error: malformed response line during scrape\n";
-            ::close(fd);
-            return 3;
-        }
-        const JsonValue* kind = event.find("event");
-        if (kind == nullptr || !kind->is_string()) {
-            std::cerr << "error: response carries no event field "
-                         "(not a serve_tool metrics endpoint?)\n";
-            ::close(fd);
-            return 3;
-        }
-        if (kind->string == "metrics") {
-            const JsonValue* data = event.find("data");
-            if (data == nullptr || !data->is_string()) {
-                std::cerr << "error: metrics event carries no data text\n";
-                ::close(fd);
-                return 3;
-            }
-            metrics = data->string;
-            got_metrics = true;
-        } else if (kind->string == "done") {
-            done = true;
-        } else {
-            std::cerr << "error: unexpected \"" << kind->string
-                      << "\" event during scrape\n";
-            ::close(fd);
-            return 3;
-        }
-    }
-    ::close(fd);
-    if (!got_metrics) {
-        std::cerr << "error: no metrics event received\n";
+    if (response.status != 200) {
+        std::cerr << "error: GET /metrics answered " << response.status << " "
+                  << response.reason << "\n";
         return 3;
     }
-    std::string exposition_error;
-    if (!validate_exposition(metrics, &exposition_error)) {
-        std::cerr << "error: malformed exposition text: " << exposition_error << "\n";
+    // A scraper talks to exactly one kind of endpoint: garbage from a
+    // misdirected one must never reach a collector.
+    if (!validate_exposition(response.body, &error)) {
+        std::cerr << "error: malformed exposition text: " << error << "\n";
         return 3;
     }
-    std::cout << metrics;  // raw Prometheus exposition text
+    std::cout << response.body;  // raw Prometheus exposition text
     return 0;
 }
 
