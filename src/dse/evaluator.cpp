@@ -63,14 +63,15 @@ const char* error_engine_name(ErrorEngine e) noexcept {
 
 namespace {
 
-/// The exhaustive engine paths and their static cost weights: relative
-/// cost per operand pair, charged against EvalOptions::exhaustive_budget.
-/// Measured engine throughput on a 4-core x86 box, in ns per pair:
-/// accurate 2.0-2.8, sliced 3.7-5.6, fast2 and planned (both the scalar
-/// block kernel's rows loop, the names only tell the paths apart) 11-23.
-/// Each width step costs 4x the pairs, so a weight only has to be right to
-/// within 4x to pick the same cutoff width; static weights therefore stay
-/// valid across machines, and a result never depends on one.
+/// The exhaustive engine paths and their static cost weights: relative cost
+/// per operand pair, charged against EvalOptions::exhaustive_budget.
+/// Measured engine throughput on a 4-core x86 box, in ns per pair: accurate
+/// 1.4-2.2 and sliced 2.5-2.8 (per evaluation in a traced default width-12
+/// sweep), fast2 and planned (both the scalar block kernel's rows loop, the
+/// names only tell the paths apart) 12-24 on one thread. Each width step
+/// costs 4x the pairs, so a weight only has to be right to within 4x to
+/// pick the same cutoff width; static weights therefore stay valid across
+/// machines, and a result never depends on one.
 enum class EnginePath { kAccurate, kFast2, kPlanned, kSliced };
 constexpr struct {
     const char* name;

@@ -16,8 +16,10 @@
 // 64-pair blocks), the scalar exhaustive engine over core/kernels.h
 // MultiplyKernel (the branch-free planned rows loop over 64-pair blocks,
 // compensation from tables), or seeded sampling over the same kernel.
-// All three feed ErrorAccumulator::add_block. Hardware cost is memoized in
-// a content-keyed CostCache shared across the sweep. The sliced engine and
+// All three accumulate through ErrorAccumulator: the scalar and sampled
+// engines through add_block, the sliced engine through its LaneBlocks
+// reducer, to the same bits. Hardware cost is memoized in a content-keyed
+// CostCache shared across the sweep. The sliced engine and
 // the cache both produce results bit-identical to the scalar engine and the
 // direct synthesize() path, so turning them off changes speed only (see
 // EvalOptions::use_sliced for the one exception and use_hw_cache).

@@ -29,11 +29,12 @@
 //
 // Both engines hand their pairs to ErrorAccumulator::add_block in chunks
 // of kPairChunk, in visit order, so the metrics are bit-identical to adding
-// each pair on its own. In the exhaustive engine the exact product a*b
-// advances by adding `a` as `b` steps through a chunk, re-seeded from one
-// true multiply per chunk. The sampled engine draws a then b per sample
-// into the chunk, so the pairs and their order do not depend on how the
-// products are evaluated.
+// each pair on its own. (The sliced engine, evaluate_sliced.h, reduces its
+// blocks through ErrorAccumulator::LaneBlocks to the same bits.) In the
+// exhaustive engine the exact product a*b advances by adding `a` as `b`
+// steps through a chunk, re-seeded from one true multiply per chunk. The
+// sampled engine draws a then b per sample into the chunk, so the pairs
+// and their order do not depend on how the products are evaluated.
 #ifndef SDLC_ERROR_EVALUATE_H
 #define SDLC_ERROR_EVALUATE_H
 
@@ -48,8 +49,8 @@
 
 namespace sdlc {
 
-/// Pairs per ErrorAccumulator::add_block call in every error engine, and
-/// per block handed to the approximate multiplier.
+/// Pairs per ErrorAccumulator::add_block call in the scalar exhaustive and
+/// sampled engines, and per block handed to the approximate multiplier.
 inline constexpr unsigned kPairChunk = 64;
 
 /// Samples between two StopCheck calls in the sampled engine.
@@ -94,6 +95,22 @@ void run_sharded(unsigned shards, ThreadPool* pool, const StopCheck& stop,
     }
 }
 
+/// Runs `run_shard(s, acc)` for every shard through run_sharded(), each
+/// into its own fresh accumulator, and returns the accumulators merged in
+/// shard order. Each accumulator sits on its own cache line, so workers
+/// writing neighbouring shards do not share one.
+template <typename RunShard>
+ErrorMetrics sharded_metrics(int width, unsigned shards, ThreadPool* pool, const StopCheck& stop,
+                             RunShard&& run_shard) {
+    struct alignas(64) Slot {
+        ErrorAccumulator acc;
+    };
+    std::vector<Slot> slots(shards, Slot{ErrorAccumulator(width)});
+    run_sharded(shards, pool, stop, [&](unsigned s) { run_shard(s, slots[s].acc); });
+    for (unsigned s = 1; s < shards; ++s) slots[0].acc.merge(slots[s].acc);
+    return slots[0].acc.finalize();
+}
+
 }  // namespace detail
 
 /// Fixed shard-grid size of the exhaustive engines. The shard count (not
@@ -113,9 +130,8 @@ template <typename ApproxFn>
     // Shard by operand stripes a ≡ s (mod shards).
     const unsigned shards =
         static_cast<unsigned>(std::min<uint64_t>(kExhaustiveShards, side));
-    std::vector<ErrorAccumulator> accs(shards, ErrorAccumulator(width));
-    detail::run_sharded(shards, pool, stop, [&](unsigned s) {
-        ErrorAccumulator& acc = accs[s];
+    return detail::sharded_metrics(width, shards, pool, stop, [&](unsigned s,
+                                                                  ErrorAccumulator& acc) {
         uint64_t as[kPairChunk], bs[kPairChunk], exact[kPairChunk], out[kPairChunk];
         for (uint64_t a = s; a < side; a += shards) {
             for (unsigned i = 0; i < kPairChunk; ++i) as[i] = a;
@@ -131,8 +147,6 @@ template <typename ApproxFn>
             }
         }
     });
-    for (unsigned s = 1; s < shards; ++s) accs[0].merge(accs[s]);
-    return accs[0].finalize();
 }
 
 /// Evaluates `approx` on `samples` random operand pairs; `draw(rng, mask)`

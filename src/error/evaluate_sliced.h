@@ -1,13 +1,14 @@
 // Exhaustive error evaluation on the sliced (lane-table) kernel.
 //
-// Same shard grid, same (a, b) visit order, same per-shard accumulators and
-// merge order as the scalar exhaustive_metrics() — only the products
-// change source: each stripe prepares its lane tables once per a, then
-// evaluates 64 consecutive b values per block through
-// SlicedMultiplyKernel::multiply_block_prepared instead of one scalar kernel
-// call per pair, and hands each block to ErrorAccumulator::add_block.
-// Because the accumulator sees identical (exact, approx) pairs in an
-// identical order, the returned ErrorMetrics is bit-identical to the scalar
+// Same shard grid, same (a, b) visit order and same shard merge order as
+// the scalar exhaustive_metrics(); the products and their reduction
+// change. Each stripe prepares its lane tables once per a, evaluates 64
+// consecutive b values per block through
+// SlicedMultiplyKernel::multiply_block_prepared, and reduces each block in
+// ErrorAccumulator::LaneBlocks, which holds the shard's sums in registers
+// and derives the exact products from (a, b0) instead of storing them.
+// LaneBlocks reproduces ErrorAccumulator::add() pair for pair, in the same
+// order, so the returned ErrorMetrics is bit-identical to the scalar
 // engine for every eligible configuration (enforced by
 // tests/kernels_sliced_test.cpp).
 #ifndef SDLC_ERROR_EVALUATE_SLICED_H

@@ -14,6 +14,28 @@ ErrorAccumulator::ErrorAccumulator(int width) : width_(width) {
     pmax_ = top * top;
 }
 
+ErrorAccumulator::LaneBlocks::LaneBlocks(ErrorAccumulator& acc, unsigned lanes)
+    : acc_(acc),
+      lanes_(lanes),
+      red_sq_{acc.sum_red_, acc.sum_sq_},
+      ed_signed_{acc.sum_ed_, acc.sum_signed_} {
+    if (acc.width_ > 16 || lanes < 2 || lanes > 64 || lanes % 2 != 0) {
+        throw std::invalid_argument("LaneBlocks: width must be <= 16, lanes even in [2,64]");
+    }
+}
+
+void ErrorAccumulator::LaneBlocks::finish() noexcept {
+    acc_.sum_red_ = red_sq_[0];
+    acc_.sum_sq_ = red_sq_[1];
+    acc_.sum_ed_ = ed_signed_[0];
+    acc_.sum_signed_ = ed_signed_[1];
+    acc_.max_red_ = std::max({acc_.max_red_, max_red_[0], max_red_[1]});
+    acc_.max_ed_ =
+        std::max(acc_.max_ed_, static_cast<uint64_t>(std::max(max_ed_[0], max_ed_[1])));
+    acc_.errors_ += static_cast<uint64_t>(errors_[0] + errors_[1]);
+    acc_.samples_ += samples_;
+}
+
 void ErrorAccumulator::merge(const ErrorAccumulator& other) noexcept {
     sum_red_ += other.sum_red_;
     sum_ed_ += other.sum_ed_;

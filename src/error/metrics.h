@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace sdlc {
 
@@ -45,6 +46,8 @@ struct ErrorMetrics {
 /// Streaming accumulator for ErrorMetrics; mergeable for parallel sweeps.
 class ErrorAccumulator {
 public:
+    class LaneBlocks;
+
     /// `width` is the operand bit-width N; sets Pmax = (2^N - 1)^2.
     explicit ErrorAccumulator(int width);
 
@@ -66,9 +69,10 @@ public:
     }
 
     /// Adds n pairs (exact[i], approx[i]) in order: bit-identical to n
-    /// in-order add() calls. Every error engine feeds its pairs through
-    /// here. The four double sums stay in-order chains; an exact pair adds
-    /// +0.0 to each (a no-op), so exact pairs need no branch of their own.
+    /// in-order add() calls. The scalar and sampled engines feed their
+    /// pairs through here (the sliced engine through LaneBlocks). The four
+    /// double sums stay in-order chains; an exact pair adds +0.0 to each (a
+    /// no-op), so exact pairs need no branch of their own.
     void add_block(const uint64_t* exact, const uint64_t* approx, size_t n) noexcept {
         uint64_t all = 0, diff = 0;
         for (size_t i = 0; i < n; ++i) {
@@ -131,6 +135,115 @@ private:
     uint64_t max_ed_ = 0;
     uint64_t errors_ = 0;
     uint64_t samples_ = 0;
+};
+
+/// Shard-local reducer of the sliced exhaustive engine: adds blocks of
+/// `lanes` pairs (a, b0 + l), l < lanes, one operand a at a time, with the
+/// exact products implied by (a, b0) instead of stored. Bit-identical to
+/// add() over the same pairs in the same order:
+///
+///   - exact P = double(a*b0) + double(a*l), the second from a per-a lane
+///     table. Both terms and the sum are exact: at width <= 16 every
+///     product is below 2^32.
+///   - approx converts exactly through the 2^52 exponent trick (every
+///     value is below 2^52), so the signed error approx - P is one exact
+///     subtraction and ED its absolute value.
+///   - RED = ED / max(P, 1). P = 0 in two places. In the a = 0 row,
+///     compensated products are nonzero, so that row keeps add()'s
+///     definition, ED / max(ED, 1). At b = 0 with a != 0, every sliced
+///     configuration gives approx = 0 (no row is active and the
+///     compensation of b = 0 is 0): ED = 0 and RED = 0 / 1 = 0, as in
+///     add(). A configuration that broke this invariant would differ from
+///     add() there.
+///   - the four double sums stay in-order chains, reduced two lanes at a
+///     time and packed as {sum RED, sum ED^2} and {sum ED, sum signed}, so
+///     bit-identity rests on order alone, at every width.
+///   - max ED, max RED and the error count are exact and order-free: they
+///     are kept per vector lane and folded once, in finish().
+///
+/// Construction takes over the accumulator's state and finish() hands it
+/// back; the accumulator must not be used in between.
+class ErrorAccumulator::LaneBlocks {
+public:
+    /// `lanes`: even, in [2, 64]. Throws std::invalid_argument for an
+    /// accumulator wider than 16 bits or an unsupported lane count.
+    LaneBlocks(ErrorAccumulator& acc, unsigned lanes);
+
+    /// Starts the row of operand `a`.
+    void set_a(uint64_t a) noexcept {
+        a_ = a;
+        for (unsigned i = 0; i < lanes_ / 2; ++i) {
+            const uint64_t p = a * (2 * i);
+            lane_e_[i] = v2d{static_cast<double>(p), static_cast<double>(p + a)};
+        }
+    }
+
+    /// Adds the pairs (a, b0 + l) whose approximate products are
+    /// approx[l], l < lanes, in lane order. b0 is a multiple of `lanes`.
+    void add(uint64_t b0, const uint64_t* approx) noexcept {
+        if (a_ == 0) {
+            add_lanes<true>(b0, approx);
+        } else {
+            add_lanes<false>(b0, approx);
+        }
+    }
+
+    /// Hands the sums, maxima and counts back to the accumulator.
+    void finish() noexcept;
+
+private:
+    // Two-lane GCC (12+) / Clang vector types: SSE2 registers at the
+    // baseline ISA. A C-style cast between them reinterprets the bits.
+    using v2d = double __attribute__((vector_size(16)));
+    using v2u = uint64_t __attribute__((vector_size(16)));
+    using v2i = int64_t __attribute__((vector_size(16)));
+
+    static v2d vmax(v2d x, v2d y) noexcept { return x > y ? x : y; }
+
+    template <bool ZeroA>
+    void add_lanes(uint64_t b0, const uint64_t* approx) noexcept {
+        constexpr v2u kExp = {0x4330000000000000u, 0x4330000000000000u};  // 2^52
+        constexpr v2u kAbs = {0x7fffffffffffffffu, 0x7fffffffffffffffu};
+        constexpr v2d kTwo52 = {0x1p52, 0x1p52};
+        constexpr v2d kOne = {1.0, 1.0};
+        const double p0 = static_cast<double>(a_ * b0);
+        const v2d base = {p0, p0};
+        // Locals, so the chains stay in registers across the block.
+        v2d red_sq = red_sq_, ed_signed = ed_signed_;
+        v2d max_ed = max_ed_, max_red = max_red_;
+        v2i errors = errors_;
+        for (unsigned i = 0; i < lanes_ / 2; ++i) {
+            v2u q;
+            std::memcpy(&q, approx + 2 * i, sizeof q);
+            const v2d e = base + lane_e_[i];
+            const v2d s = ((v2d)(q | kExp) - kTwo52) - e;
+            const v2d d = (v2d)((v2u)s & kAbs);
+            const v2d red = d / (ZeroA ? vmax(d, kOne) : vmax(e, kOne));
+            const v2d sq = d * d;
+            red_sq += __builtin_shufflevector(red, sq, 0, 2);
+            red_sq += __builtin_shufflevector(red, sq, 1, 3);
+            ed_signed += __builtin_shufflevector(d, s, 0, 2);
+            ed_signed += __builtin_shufflevector(d, s, 1, 3);
+            max_ed = vmax(max_ed, d);
+            max_red = vmax(max_red, red);
+            errors -= s != v2d{};
+        }
+        red_sq_ = red_sq;
+        ed_signed_ = ed_signed;
+        max_ed_ = max_ed;
+        max_red_ = max_red;
+        errors_ = errors;
+        samples_ += lanes_;
+    }
+
+    ErrorAccumulator& acc_;
+    unsigned lanes_;
+    uint64_t a_ = 0;
+    uint64_t samples_ = 0;
+    v2d red_sq_, ed_signed_;
+    v2d max_ed_ = {}, max_red_ = {};
+    v2i errors_ = {};
+    v2d lane_e_[32] = {};
 };
 
 }  // namespace sdlc

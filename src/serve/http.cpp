@@ -565,49 +565,21 @@ void serve_http_listener(SocketListener& listener, SweepService& service,
 
 // ------------------------------------------------------------ http client ----
 
-bool http_request(const std::string& host, uint16_t port, const std::string& method,
-                  const std::string& target, const std::string& body,
-                  const std::string& bearer_token, HttpClientResponse& out,
-                  std::string* error, int timeout_ms) {
+bool read_http_response(StreamReader& reader, size_t max_body, HttpClientResponse& out,
+                        std::string* error) {
     auto fail = [error](const std::string& message) {
         if (error != nullptr) *error = message;
         return false;
     };
-    int fd;
-    try {
-        fd = connect_peer(CachePeerAddress{false, host, port}, timeout_ms);
-    } catch (const std::exception& e) {
-        return fail(e.what());
-    }
-
-    std::string request = method + " " + target + " HTTP/1.1\r\n";
-    request += "Host: " + host + ":" + std::to_string(port) + "\r\n";
-    if (!bearer_token.empty()) request += "Authorization: Bearer " + bearer_token + "\r\n";
-    if (!body.empty() || method == "POST") {
-        request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
-    }
-    request += "Connection: close\r\n\r\n";
-    request += body;
-    if (!write_all(fd, request)) {
-        ::close(fd);
-        return fail("send failed");
-    }
-
-    StreamReader reader(fd);
+    out = HttpClientResponse{};
     std::string head;
     if (reader.read_head(size_t{1} << 20, head) != StreamReader::Head::kComplete) {
-        ::close(fd);
         return fail("no HTTP response head");
     }
-    out = HttpClientResponse{};
     std::string status_line;  // "HTTP/1.1 200 OK"
-    if (!parse_head(head, status_line, out.headers)) {
-        ::close(fd);
-        return fail("malformed HTTP response head");
-    }
+    if (!parse_head(head, status_line, out.headers)) return fail("malformed HTTP response head");
     const size_t sp1 = status_line.find(' ');
     if (status_line.rfind("HTTP/", 0) != 0 || sp1 == std::string::npos) {
-        ::close(fd);
         return fail("malformed status line: " + status_line);
     }
     const size_t sp2 = status_line.find(' ', sp1 + 1);
@@ -616,13 +588,16 @@ bool http_request(const std::string& host, uint16_t port, const std::string& met
                                                              : sp2 - sp1 - 1);
     size_t code = 0;
     if (!parse_size(code_text, code) || code < 100 || code > 599) {
-        ::close(fd);
         return fail("malformed status code: " + code_text);
     }
     out.status = static_cast<int>(code);
     if (sp2 != std::string::npos) out.reason = status_line.substr(sp2 + 1);
 
-    bool ok = true;
+    const auto too_large = [&] {
+        out.too_large = true;
+        out.body.clear();
+        return fail("HTTP response body exceeds " + std::to_string(max_body) + " bytes");
+    };
     const auto te = out.headers.find("transfer-encoding");
     if (te != out.headers.end() && lowercase(te->second) == "chunked") {
         // Chunk framing lines end in CRLF; the terminator is stripped.
@@ -633,43 +608,70 @@ bool http_request(const std::string& host, uint16_t port, const std::string& met
         };
         std::string size_line;
         while (true) {
-            if (!read_line(size_line)) {
-                ok = false;
-                break;
-            }
+            if (!read_line(size_line)) return fail("truncated HTTP response body");
             // Ignore chunk extensions (";...") per RFC 9112.
             const size_t semi = size_line.find(';');
             size_t chunk_size = 0;
             if (!parse_size(semi == std::string::npos ? size_line
                                                       : size_line.substr(0, semi),
                             chunk_size, /*base=*/16)) {
-                ok = false;
-                break;
+                return fail("truncated HTTP response body");
             }
             if (chunk_size == 0) {
                 (void)read_line(size_line);  // trailing CRLF / trailers
-                break;
+                return true;
             }
+            if (chunk_size > max_body - out.body.size()) return too_large();
             std::string payload;
             if (!reader.read_exact(chunk_size, payload) ||
                 !read_line(size_line)) {  // chunk-terminating CRLF
-                ok = false;
-                break;
+                return fail("truncated HTTP response body");
             }
             out.body += payload;
         }
-    } else if (const auto cl = out.headers.find("content-length");
-               cl != out.headers.end()) {
+    }
+    if (const auto cl = out.headers.find("content-length"); cl != out.headers.end()) {
         size_t length = 0;
-        if (!parse_size(cl->second, length) || !reader.read_exact(length, out.body)) {
-            ok = false;
-        }
+        if (!parse_size(cl->second, length)) return fail("truncated HTTP response body");
+        if (length > max_body) return too_large();
+        if (!reader.read_exact(length, out.body)) return fail("truncated HTTP response body");
+        return true;
+    }
+    out.body = reader.read_to_eof(max_body);
+    if (reader.overflowed()) return too_large();
+    return true;
+}
+
+bool http_request(const std::string& host, uint16_t port, const std::string& method,
+                  const std::string& target, const std::string& body,
+                  const std::string& bearer_token, HttpClientResponse& out,
+                  std::string* error, int timeout_ms) {
+    int fd;
+    try {
+        fd = connect_peer(CachePeerAddress{false, host, port}, timeout_ms);
+    } catch (const std::exception& e) {
+        if (error != nullptr) *error = e.what();
+        return false;
+    }
+
+    std::string request = method + " " + target + " HTTP/1.1\r\n";
+    request += "Host: " + host + ":" + std::to_string(port) + "\r\n";
+    if (!bearer_token.empty()) request += "Authorization: Bearer " + bearer_token + "\r\n";
+    if (!body.empty() || method == "POST") {
+        request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
+    }
+    request += "Connection: close\r\n\r\n";
+    request += body;
+    bool ok;
+    if (write_all(fd, request)) {
+        StreamReader reader(fd);
+        ok = read_http_response(reader, kMaxResponseBodyBytes, out, error);
     } else {
-        out.body = reader.read_to_eof();
+        ok = false;
+        if (error != nullptr) *error = "send failed";
     }
     ::close(fd);
-    if (!ok) return fail("truncated HTTP response body");
-    return true;
+    return ok;
 }
 
 }  // namespace sdlc::serve

@@ -147,13 +147,24 @@ struct HttpClientResponse {
     std::string reason;
     std::map<std::string, std::string> headers;
     std::string body;
+    bool too_large = false;  ///< the body outgrew the reader's cap (the read failed)
 };
 
-/// Sends one request (Connection: close) and parses the response,
-/// decoding chunked transfer coding. `bearer_token` non-empty adds the
-/// Authorization header. Returns false with *error on connect/protocol
-/// failure; HTTP error statuses are successful parses (check
-/// out.status).
+/// Largest response body http_request() accepts, however it is framed.
+inline constexpr size_t kMaxResponseBodyBytes = size_t{64} << 20;
+
+/// Reads one response (head, then a Content-Length, chunked or
+/// read-to-close body) from `reader`. A body of more than `max_body` bytes
+/// fails with out.too_large set, without reading the rest of it. Returns
+/// false with *error on a malformed, truncated or oversized response.
+[[nodiscard]] bool read_http_response(StreamReader& reader, size_t max_body,
+                                      HttpClientResponse& out, std::string* error);
+
+/// Sends one request (Connection: close) and parses the response through
+/// read_http_response() with a kMaxResponseBodyBytes cap. `bearer_token`
+/// non-empty adds the Authorization header. Returns false with *error on
+/// connect/protocol failure; HTTP error statuses are successful parses
+/// (check out.status).
 [[nodiscard]] bool http_request(const std::string& host, uint16_t port,
                                 const std::string& method, const std::string& target,
                                 const std::string& body, const std::string& bearer_token,

@@ -428,8 +428,13 @@ StreamReader::Head StreamReader::read_head(size_t cap, std::string& head) {
     return state;
 }
 
-std::string StreamReader::read_to_eof() {
+std::string StreamReader::read_to_eof(size_t cap) {
     while (fill() == Fill::kData) {
+        if (cap != 0 && buffer_.size() > cap) {
+            overflowed_ = true;
+            buffer_.clear();
+            break;
+        }
     }
     scanned_ = 0;
     return std::exchange(buffer_, std::string());

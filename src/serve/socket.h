@@ -165,12 +165,14 @@ public:
     /// the stream ended (EOF or error) first.
     Head read_head(size_t cap, std::string& head);
 
-    /// Blocks until EOF or error, then takes everything buffered.
-    std::string read_to_eof();
+    /// Blocks until EOF or error, then takes everything buffered. Once
+    /// more than `cap` bytes are buffered (0 = unbounded) it stops reading,
+    /// sets overflowed(), drops the buffer and returns "".
+    std::string read_to_eof(size_t cap = 0);
 
-    /// True once an unterminated line outgrew its cap — lets a server
-    /// answer with a too_large error event before dropping the connection,
-    /// matching the protocol contract.
+    /// True once an unterminated line (or a read_to_eof body) outgrew its
+    /// cap — lets a server answer with a too_large error event before
+    /// dropping the connection, matching the protocol contract.
     [[nodiscard]] bool overflowed() const noexcept { return overflowed_; }
     [[nodiscard]] uint64_t bytes_read() const noexcept { return bytes_read_; }
 

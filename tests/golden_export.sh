@@ -16,6 +16,14 @@
 #       --json tests/golden/dse_w16_sampled.json
 #   dse_tool --width 16 --schemes ripple --samples 4096 --dist gaussian \
 #       --json tests/golden/dse_w16_sampled_gaussian.json
+#
+# tests/golden/dse_w16_exhaustive.json pins the sliced exhaustive engine
+# at width 16, where the accumulation order can break (every sum passes
+# 2^53). Its four points cost 2^32 pairs each, so CI's width-16 spot check
+# compares it rather than this script. It was written by
+#   dse_tool --width 16 --exhaustive-budget 4294967296 \
+#       --variants sdlc,compensated --schemes ripple --depth-min 2 \
+#       --depth-max 3 --json tests/golden/dse_w16_exhaustive.json
 # Usage: golden_export.sh /path/to/dse_tool /path/to/tests/golden
 set -u
 

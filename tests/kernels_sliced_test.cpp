@@ -217,6 +217,23 @@ TEST(SlicedEngine, MetricsBitIdenticalEveryDepthWidth10) {
     }
 }
 
+TEST(SlicedEngine, MetricsBitIdenticalPartialBlockWidths2To5) {
+    // Below width 6 a whole b-sweep is one block of 4..32 lanes, so the
+    // accumulator reduces partial blocks; compensated configs also err
+    // in the a = 0 row, where RED is 1 at P = 0.
+    for (int width = 2; width <= 5; ++width) {
+        for (const MultiplierVariant variant :
+             {MultiplierVariant::kSdlc, MultiplierVariant::kCompensated}) {
+            for (int depth = 2; depth <= width; ++depth) {
+                const MultiplierConfig config = make_config(width, depth, variant);
+                SCOPED_TRACE(ApproxMultiplier(config).describe());
+                const SlicedMultiplyKernel kernel(config);
+                EXPECT_EQ(exhaustive_metrics_sliced(kernel), scalar_exhaustive(config));
+            }
+        }
+    }
+}
+
 TEST(SlicedEngine, MetricsBitIdenticalWidth12) {
     // Width-12 configs end to end: 16.7M pairs each through both engines,
     // including the deepest compensated function of the default sweep.

@@ -128,6 +128,64 @@ for _ in $(seq 600); do [ -s "$workdir/xport" ] && break; sleep 0.1; done
 check_exit "serve scrape against another protocol" 3 $?
 wait "$xwire" 2>/dev/null
 
+# Misbehaving peers must not grow the client's buffers without limit. Each
+# one-shot peer answers with a stream that never ends where it should —
+# an event line with no newline, an HTTP body with no end, or a declared
+# Content-Length far past the cap — until the client hangs up; the client
+# must give up at its 64 MiB cap with a clean error (1).
+endless_peer() { # mode port-file-or-socket-path
+    python3 - "$@" <<'PY' &
+import os, socket, sys
+mode, where = sys.argv[1], sys.argv[2]
+if mode == "line":
+    srv = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    srv.bind(where)
+else:
+    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    srv.bind(("127.0.0.1", 0))
+    with open(where + ".tmp", "w") as f:
+        f.write(str(srv.getsockname()[1]))
+    os.rename(where + ".tmp", where)
+srv.listen(1)
+conn, _ = srv.accept()
+conn.recv(4096)
+head = b""
+if mode == "body":
+    head = b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n"
+elif mode == "length":
+    head = b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n"
+chunk = b"x" * (1 << 20)
+try:
+    conn.sendall(head)
+    while True:
+        conn.sendall(chunk)
+except OSError:
+    pass  # the client hung up
+PY
+}
+endless_peer line "$workdir/endless.sock"
+peer=$!
+for _ in $(seq 600); do [ -S "$workdir/endless.sock" ] && break; sleep 0.1; done
+"$tool" --client good.ndjson --socket "$workdir/endless.sock" --quiet 2>endless_line.err
+check_exit "client against an endless event line" 1 $?
+grep -q 'event line exceeds' endless_line.err || {
+    echo "FAIL: endless event line gave no cap diagnosis" >&2
+    failures=$((failures + 1))
+}
+wait "$peer" 2>/dev/null
+for mode in body length; do
+    endless_peer "$mode" "$workdir/$mode.port"
+    peer=$!
+    for _ in $(seq 600); do [ -s "$workdir/$mode.port" ] && break; sleep 0.1; done
+    "$tool" --scrape --http "127.0.0.1:$(cat "$workdir/$mode.port")" 2>endless_$mode.err
+    check_exit "scrape against an endless HTTP $mode" 1 $?
+    grep -q 'body exceeds' endless_$mode.err || {
+        echo "FAIL: endless HTTP $mode gave no cap diagnosis" >&2
+        failures=$((failures + 1))
+    }
+    wait "$peer" 2>/dev/null
+done
+
 echo '{"id":"q","type":"shutdown"}' >quit.ndjson
 "$tool" --client quit.ndjson --socket "$sock" --quiet
 check_exit "shutdown request" 0 $?

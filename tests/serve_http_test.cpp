@@ -6,6 +6,7 @@
 // `serve_tool --listen-http` runs.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -99,6 +100,82 @@ TEST(ReadAuthTokenFile, TrimsAndRejectsEmpty) {
 
     EXPECT_FALSE(read_auth_token_file(path + ".missing", token, &error));
     ::unlink(path.c_str());
+}
+
+// ---------------------------------------------------------- client reader ----
+
+struct ClientRead {
+    bool ok = false;
+    HttpClientResponse out;
+    std::string error;
+};
+
+/// read_http_response() with cap `max_body` on one end of a socketpair
+/// while a peer writes `response` on the other, then repeats `endless`
+/// (when non-empty) until the reader hangs up.
+ClientRead read_from_peer(const std::string& response, const std::string& endless,
+                          size_t max_body) {
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    std::thread peer([&] {
+        if (write_all(fds[1], response)) {
+            while (!endless.empty() && write_all(fds[1], endless)) {
+            }
+        }
+        ::shutdown(fds[1], SHUT_WR);
+    });
+    ClientRead r;
+    StreamReader reader(fds[0]);
+    r.ok = read_http_response(reader, max_body, r.out, &r.error);
+    ::close(fds[0]);  // fails the peer's next write
+    peer.join();
+    ::close(fds[1]);
+    return r;
+}
+
+TEST(HttpClient, ReadToCloseBodyIsCapped) {
+    const std::string head = "HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n";
+    const ClientRead endless = read_from_peer(head, std::string(4096, 'x'), 1 << 16);
+    EXPECT_FALSE(endless.ok);
+    EXPECT_TRUE(endless.out.too_large);
+    EXPECT_EQ(endless.out.status, 200);
+    EXPECT_TRUE(endless.out.body.empty());
+    EXPECT_NE(endless.error.find("exceeds 65536 bytes"), std::string::npos) << endless.error;
+
+    const ClientRead at_cap = read_from_peer(head + std::string(1 << 16, 'x'), "", 1 << 16);
+    ASSERT_TRUE(at_cap.ok) << at_cap.error;
+    EXPECT_EQ(at_cap.out.body.size(), size_t{1} << 16);
+    EXPECT_FALSE(at_cap.out.too_large);
+}
+
+TEST(HttpClient, ContentLengthOverTheCapFailsBeforeReading) {
+    // The peer sends no body at all: the declared length alone decides.
+    const ClientRead r = read_from_peer(
+        "HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n", "", 1 << 16);
+    EXPECT_FALSE(r.ok);
+    EXPECT_TRUE(r.out.too_large);
+
+    const ClientRead fits =
+        read_from_peer("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello", "", 5);
+    ASSERT_TRUE(fits.ok) << fits.error;
+    EXPECT_EQ(fits.out.body, "hello");
+}
+
+TEST(HttpClient, EndlessChunkedBodyIsCapped) {
+    const std::string chunk = "1000\r\n" + std::string(4096, 'c') + "\r\n";
+    const ClientRead r = read_from_peer(
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n", chunk, 1 << 16);
+    EXPECT_FALSE(r.ok);
+    EXPECT_TRUE(r.out.too_large);
+    EXPECT_TRUE(r.out.body.empty());
+
+    // Chunks that add up to exactly the cap decode.
+    const ClientRead fits = read_from_peer(
+        "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunk + chunk +
+            "0\r\n\r\n",
+        "", 8192);
+    ASSERT_TRUE(fits.ok) << fits.error;
+    EXPECT_EQ(fits.out.body, std::string(8192, 'c'));
 }
 
 // --------------------------------------------------------- served fixture ----

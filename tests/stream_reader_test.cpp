@@ -1,14 +1,15 @@
 // serve::StreamReader over a socketpair(): the one buffered reader every
 // transport (line servers, stdio, client, HTTP door, HTTP client, cluster
 // coordinator) reads through. Pins the framing contract — partial fills,
-// EOF and error handling, the line cap, CR handling, HTTP heads and the
-// body prefix that arrives with them.
+// EOF and error handling, the line and read-to-EOF caps, CR handling, HTTP
+// heads and the body prefix that arrives with them.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <string>
+#include <thread>
 
 #include "serve/socket.h"
 
@@ -86,6 +87,31 @@ TEST(StreamReader, OverCapUnterminatedLineSetsOverflowed) {
     EXPECT_FALSE(reader.next_line(line, /*max_line=*/16)) << "never delivered, even at EOF";
     EXPECT_TRUE(reader.overflowed());
     EXPECT_FALSE(reader.next_line(line, /*max_line=*/16)) << "an overflowed stream stays ended";
+}
+
+TEST(StreamReader, ReadToEofStopsAnEndlessStreamAtItsCap) {
+    Pair pair;
+    StreamReader reader(pair.fd);
+    // A peer that never closes: read_to_eof must give up at the cap
+    // instead of growing its buffer without limit.
+    std::thread streamer([peer = pair.peer] {
+        const std::string chunk(4096, 'x');
+        while (write_all(peer, chunk)) {
+        }
+    });
+    EXPECT_EQ(reader.read_to_eof(/*cap=*/1 << 16), "");
+    EXPECT_TRUE(reader.overflowed());
+    ::close(pair.fd);  // the streamer's next write fails
+    pair.fd = -1;
+    streamer.join();
+
+    // A body of exactly the cap still arrives whole.
+    Pair exact;
+    StreamReader exact_reader(exact.fd);
+    exact.send(std::string(64, 'y'));
+    exact.end();
+    EXPECT_EQ(exact_reader.read_to_eof(/*cap=*/64), std::string(64, 'y'));
+    EXPECT_FALSE(exact_reader.overflowed());
 }
 
 TEST(StreamReader, CrlfRequestLineKeepsTheCarriageReturn) {

@@ -15,7 +15,8 @@
 //
 // sends every request line of FILE ('-' = stdin), prints the event stream,
 // and exits 0 only if every request succeeded (any server `error` event,
-// failed `done`, or a dropped stream exits non-zero). --output extracts
+// failed `done`, an event line over 64 MiB, or a dropped stream exits
+// non-zero). --output extracts
 // the `result` event's embedded dse_json export to a file — byte-identical
 // to what `dse_tool --json` writes for the same sweep against a cold cache
 // — and reassembles chunked exports (`result_chunk` events) the same way.
@@ -43,6 +44,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "cluster/coordinator.h"
@@ -303,6 +305,12 @@ int run_socket_server(const Args& args) {
 
 // ----------------------------------------------------------- client mode ----
 
+/// Longest server event line the client buffers. A `result` line carries a
+/// whole export, so the cap is far above any real sweep's; it only stops a
+/// peer that streams bytes without a newline from growing the buffer
+/// without limit.
+constexpr size_t kMaxEventLineBytes = size_t{64} << 20;
+
 int run_client(const Args& args) {
     const std::string request_path = args.get("--client");
     const std::string output_path = args.get("--output");
@@ -374,7 +382,7 @@ int run_client(const Args& args) {
         return true;
     };
     bool aborted = false;  // client-side protocol/file error, not transport
-    while (done < requests.size() && reader.next_line(line)) {
+    while (done < requests.size() && reader.next_line(line, kMaxEventLineBytes)) {
         if (!quiet) std::cout << line << "\n";
         JsonValue event;
         if (!json_parse(line, event)) continue;  // not ours to validate
@@ -424,15 +432,23 @@ int run_client(const Args& args) {
             }
         }
     }
+    if (reader.overflowed()) {
+        std::cerr << "error: server event line exceeds " << kMaxEventLineBytes << " bytes\n";
+        aborted = true;
+    }
+    // An abandoned peer may have stopped reading too: unblock the sender
+    // instead of waiting on it.
+    if (aborted) ::shutdown(fd, SHUT_RDWR);
     sender.join();
     ::close(fd);
+    // An abort already printed its own diagnosis; the stream was alive, so
+    // this is a request failure (1), not a transport one (3) — even if the
+    // shutdown above failed the sender.
+    if (aborted) return 1;
     if (send_failed.load()) {
         std::cerr << "error: send failed\n";
         return 3;
     }
-    // A break above already printed its own diagnosis; the stream was
-    // alive, so this is a request failure (1), not a transport one (3).
-    if (aborted) return 1;
     if (done < requests.size()) {
         std::cerr << "error: server closed the stream after " << done << " of "
                   << requests.size() << " responses\n";
@@ -461,7 +477,7 @@ int run_scrape(const Args& args) {
     if (!http_request(peer.path_or_host, peer.port, "GET", "/metrics", "", token, response,
                       &error)) {
         std::cerr << "error: " << error << "\n";
-        return 3;
+        return response.too_large ? 1 : 3;
     }
     if (response.status != 200) {
         std::cerr << "error: GET /metrics answered " << response.status << " "
